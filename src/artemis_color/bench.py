@@ -8,14 +8,14 @@ n*m and n^2*m over a family of growing instances.
 
 from __future__ import annotations
 
+import math
+import statistics
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .engine import Coloring, OpCounters, PipelineObserver, color_artemis, is_proper
 from .generators import generate
-from .graphs import ContractionTrace, Graph, components, contract
+from .graphs import ContractionTrace, Graph
 
 DEFAULT_BENCH_DENSITY = 0.5
 
@@ -38,21 +38,9 @@ class RunReport:
     verified: bool | None = None
     failures: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        assert self.contractions <= max(0, self.n - 1)
-        assert self.num_colors <= self.n
-
     @property
     def total_ops(self) -> int:
         return self.interesting_ops + self.outer_ops + self.even_pair_ops
-
-
-def replay_contractions(g: Graph, trace: ContractionTrace) -> Graph:
-    """Final graph of a trace, rebuilt step by step."""
-    current = g
-    for step in trace.steps:
-        current, _ = contract(current, step.a, step.b)
-    return current
 
 
 def run_instance(g: Graph, input_id: str, *,
@@ -87,7 +75,8 @@ def run_instance(g: Graph, input_id: str, *,
 
 def fit_loglog_slope(xs: list[float], ys: list[float]) -> float:
     """Least-squares slope of log(y) against log(x)."""
-    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
+    fit = statistics.linear_regression([math.log(x) for x in xs], [math.log(y) for y in ys])
+    return fit.slope
 
 
 @dataclass
@@ -135,9 +124,3 @@ def bench(family: str, sizes: list[int], seed: int, *,
         result.first_call_slope = fit_loglog_slope(
             xs_first, [r.first_call_ops for r in result.reports])
     return result
-
-
-def residue_cliques(g: Graph, trace: ContractionTrace) -> list[list[int]]:
-    """Clique partition of the fully contracted graph, ordered by smallest member."""
-    final = replay_contractions(g, trace)
-    return [sorted(part) for part in components(final)]

@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import DEFAULT_BENCH_DENSITY, bench, residue_cliques, run_instance
+from .bench import DEFAULT_BENCH_DENSITY, bench, run_instance
 from .dimacs import DimacsError, parse_dimacs, write_coloring, write_dimacs
 from .engine import ColoringError, NotArtemisError
 from .generators import generate
@@ -34,6 +34,12 @@ EXIT_BUDGET = 3
 def _read_graph(path: str) -> Graph:
     text = sys.stdin.read() if path == "-" else Path(path).read_text()
     return parse_dimacs(text, on_warning=lambda msg: print(f"warning: {msg}", file=sys.stderr))
+
+
+def residue_cliques(trace: ContractionTrace) -> list[list[int]]:
+    """The engine's residue as the sorted clique lists of the trace JSON,
+    ordered by smallest member."""
+    return [sorted(part) for part in trace.residue]
 
 
 def _trace_json(trace: ContractionTrace, chain_depths: tuple[int, ...],
@@ -67,7 +73,7 @@ def _cmd_color(args: argparse.Namespace) -> int:
     except (NotArtemisError, ColoringError) as exc:
         print(f"error: input is not colorable as an Artemis graph: {exc}", file=sys.stderr)
         return EXIT_NOT_ARTEMIS
-    residue = residue_cliques(g, trace)
+    residue = residue_cliques(trace)
     if args.verify:
         # Properness was already enforced by the lift; the residue certifies
         # the color count.

@@ -14,6 +14,7 @@ resolved by smallest vertex id.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
@@ -25,7 +26,6 @@ from .graphs import (
     GraphError,
     bfs_from_to,
     components,
-    contract,
 )
 
 
@@ -117,37 +117,114 @@ class OpCounters:
         return self.interesting + self.outer + self.even_pair
 
 
+class WorkingGraph:
+    """Mutable copy of the input graph that :func:`color_artemis` contracts in place.
+
+    Vertices keep the input's ids; a contraction removes the larger id of the
+    merged pair, so the survivors keep their relative order and every
+    smallest-id tie-break matches the one on the dense renumbering.  Offers the
+    read interface of :class:`Graph`: ``vertices`` (the live ids, ascending;
+    do not mutate), ``neighbors``, ``neighbor_set``, ``degree``, ``adjacent``.
+    """
+
+    __slots__ = ("_sets", "_lists", "_live")
+
+    def __init__(self, g: Graph) -> None:
+        self._sets = [set(g.neighbor_set(v)) for v in g.vertices]
+        self._lists = [list(g.neighbors(v)) for v in g.vertices]
+        self._live = list(g.vertices)
+
+    @property
+    def vertices(self) -> list[int]:
+        return self._live
+
+    def neighbors(self, v: int) -> list[int]:
+        """Live neighbors of v in ascending order."""
+        return self._lists[v]
+
+    def neighbor_set(self, v: int) -> set[int]:
+        return self._sets[v]
+
+    def degree(self, v: int) -> int:
+        return len(self._lists[v])
+
+    def adjacent(self, u: int, v: int) -> bool:
+        return v in self._sets[u]
+
+    def rank(self, v: int) -> int:
+        """Position of the live vertex v in ``vertices``: its dense id."""
+        r = bisect_left(self._live, v)
+        if r == len(self._live) or self._live[r] != v:
+            raise GraphError(f"vertex {v} is not in the working graph")
+        return r
+
+
+def contract(g: WorkingGraph, a: int, b: int) -> ContractionStep:
+    """Merge the non-adjacent vertices a and b of the working graph in place.
+
+    The smaller id survives with the union of both neighborhoods; only a, b
+    and the neighbors of the larger id are touched.  The returned step is in
+    dense ids, the ranks among the vertices live before the merge, exactly as
+    :func:`graphs.contract` numbers the same merge on the dense graph.
+    """
+    if a == b:
+        raise GraphError("cannot contract a vertex with itself")
+    ra, rb = g.rank(a), g.rank(b)
+    if g.adjacent(a, b):
+        raise GraphError(f"vertices {a} and {b} are adjacent; contraction of an edge is undefined")
+    (lo, r_lo), (hi, r_hi) = sorted(((a, ra), (b, rb)))
+    kept = g._sets[lo]
+    for w in g._lists[hi]:
+        nbrs, nbr_set = g._lists[w], g._sets[w]
+        del nbrs[bisect_left(nbrs, hi)]
+        nbr_set.discard(hi)
+        if w not in kept:
+            insort(nbrs, lo)
+            nbr_set.add(lo)
+            kept.add(w)
+    g._lists[lo] = sorted(kept)
+    g._sets[hi], g._lists[hi] = set(), []
+    n = len(g._live)
+    del g._live[r_hi]
+    vertex_map = (*range(r_hi), r_lo, *range(r_hi, n - 1))
+    return ContractionStep(a=ra, b=rb, merged=r_lo, vertex_map=vertex_map)
+
+
 class PipelineObserver:
     """Hooks fired by the pair search and the driver; all no-ops by default.
 
     Subclasses can cross-check every intermediate structure (used by the
-    oracle-backed verify mode).
+    oracle-backed verify mode).  Under :func:`color_artemis` every hook sees
+    the run's :class:`WorkingGraph` and vertex ids of the input graph; the
+    working graph changes in place at each contraction, so a hook that needs
+    a graph later must copy it (for example with ``graphs.induced``).
     """
 
-    def interesting(self, g: Graph, domain: frozenset[int],
+    def interesting(self, g: WorkingGraph, domain: frozenset[int],
                     result: InterestingSetResult) -> None:
         pass
 
-    def outer_path(self, g: Graph, domain: frozenset[int], tset: frozenset[int],
+    def outer_path(self, g: WorkingGraph, domain: frozenset[int], tset: frozenset[int],
                    cset: frozenset[int], path: OuterPath | None) -> None:
         pass
 
-    def even_pair(self, g: Graph, domain: frozenset[int], tset: frozenset[int],
+    def even_pair(self, g: WorkingGraph, domain: frozenset[int], tset: frozenset[int],
                   cset: frozenset[int], path: OuterPath, pair: tuple[int, int]) -> None:
         pass
 
-    def bottom_pair(self, g: Graph, domain: frozenset[int],
+    def bottom_pair(self, g: WorkingGraph, domain: frozenset[int],
                     result: DisjointCliques, pair: tuple[int, int]) -> None:
         pass
 
-    def contracted(self, before: Graph, a: int, b: int, after: Graph) -> None:
-        pass
+    def contracted(self, g: WorkingGraph, a: int, b: int) -> None:
+        """a and b were merged; ``g`` is the graph after the merge, the one
+        the next pair search runs on."""
 
 
 _SILENT = PipelineObserver()
 
 
-def _clique_probe(g: Graph, s: set[int], counters: OpCounters, phase: str) -> bool:
+def _clique_probe(g: Graph, s: set[int], counters: OpCounters) -> bool:
     """Clique test charged one probe per candidate pair examined."""
     size = len(s)
     if size <= 1:
@@ -159,7 +236,7 @@ def _clique_probe(g: Graph, s: set[int], counters: OpCounters, phase: str) -> bo
         if len(g.neighbor_set(v) & s) != size - 1:
             ok = False
             break
-    setattr(counters, phase, getattr(counters, phase) + ops)
+    counters.interesting += ops
     return ok
 
 
@@ -224,7 +301,7 @@ def find_interesting(g: Graph, domain: Iterable[int] | None = None, *,
         undecided.discard(u)
         cap = g.neighbor_set(u) & cset
         counters.interesting += g.degree(u)
-        if _clique_probe(g, cap, counters, "interesting"):
+        if _clique_probe(g, cap, counters):
             continue  # shelved: the complete set only shrinks, so this stays a clique
         tset.add(u)
         dropped = cset - g.neighbor_set(u)
@@ -505,21 +582,23 @@ def color_artemis(g: Graph, *, counters: OpCounters | None = None,
     contraction preserves both the chromatic number and the largest clique, so
     the result uses exactly as many colors as the largest clique of g.
     Non-Artemis inputs surface as NotArtemisError or ColoringError.
+
+    The contractions run in place on one :class:`WorkingGraph`; the trace
+    records them, and its residue, in dense ids.
     """
     counters = counters if counters is not None else OpCounters()
     observer = observer if observer is not None else _SILENT
     trace = ContractionTrace(original_n=g.n)
-    current = g
+    work = WorkingGraph(g)
     while True:
-        res = find_special_even_pair(current, counters=counters, observer=observer)
+        res = find_special_even_pair(work, counters=counters, observer=observer)
         if isinstance(res, DisjointCliques):
-            residue = res
             break
         a, b = res
-        successor, step = contract(current, a, b)
-        observer.contracted(current, a, b, successor)
+        step = contract(work, a, b)
+        observer.contracted(work, a, b)
         trace.append(step)
-        current = successor
-    coloring = greedy_color_cliques(residue.cliques)
-    lifted = lift_coloring(trace, coloring, final_graph=current, original_graph=g)
+    trace.residue = tuple(frozenset(work.rank(v) for v in part) for part in res.cliques)
+    coloring = greedy_color_cliques(trace.residue)
+    lifted = lift_coloring(trace, coloring, original_graph=g)
     return lifted, trace

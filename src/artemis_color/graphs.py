@@ -151,10 +151,15 @@ class ContractionStep:
 
 @dataclass
 class ContractionTrace:
-    """Ordered log of contractions; replaying it backwards lifts a coloring."""
+    """Ordered log of contractions; replaying it backwards lifts a coloring.
+
+    ``residue`` is the clique partition of the fully contracted graph in its
+    dense ids, set by the driver that ran the contractions.
+    """
 
     original_n: int
     steps: list[ContractionStep] = field(default_factory=list)
+    residue: tuple[frozenset[int], ...] = ()
 
     def append(self, step: ContractionStep) -> None:
         if len(step.vertex_map) != self.current_n:
@@ -176,14 +181,6 @@ class SearchForest:
     parent: dict[int, int | None]
     order: list[int]
     reached_targets: set[int]
-
-    def path_from_root(self, v: int) -> list[int]:
-        """Vertices from the root of v's tree down to v."""
-        path = [v]
-        while (p := self.parent[path[-1]]) is not None:
-            path.append(p)
-        path.reverse()
-        return path
 
 
 def contract(g: Graph, a: int, b: int) -> tuple[Graph, ContractionStep]:
@@ -227,9 +224,11 @@ def induced(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Subgraph on ``keep``, relabeled densely.
 
     Returns the subgraph and the old ids in ascending order, indexed by new id.
+    ``g`` may be any graph with the read interface of :class:`Graph`.
     """
     old_ids = tuple(sorted(set(keep)))
-    if old_ids and not (0 <= old_ids[0] and old_ids[-1] < g.n):
+    present = g.vertices
+    if any(v not in present for v in old_ids):
         raise GraphError("induced subgraph vertices out of range")
     to_new = {old: new for new, old in enumerate(old_ids)}
     edges = []

@@ -4,6 +4,11 @@ Attach an :class:`OracleVerifier` as the pipeline observer and each maximal
 interesting set, outer path, to-be-contracted pair and contracted graph gets
 cross-checked against the brute-force oracles.  Failures are collected, not
 raised, so a whole run can be audited in one pass.
+
+The oracles run on dense :class:`Graph` copies.  The verifier keeps one dense
+replica of the engine's working graph, built at the first level of a run that
+fits the oracle budget and advanced with :func:`graphs.contract` at every
+contraction, and materializes smaller levels with :func:`graphs.induced`.
 """
 
 from __future__ import annotations
@@ -11,8 +16,22 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .engine import DisjointCliques, InterestingSetResult, OuterPath, PipelineObserver
-from .graphs import Graph, common_complete, components, induced, is_clique, is_simplicial
+from .engine import (
+    DisjointCliques,
+    InterestingSetResult,
+    OuterPath,
+    PipelineObserver,
+    WorkingGraph,
+)
+from .graphs import (
+    Graph,
+    common_complete,
+    components,
+    contract,
+    induced,
+    is_clique,
+    is_simplicial,
+)
 from .handles import interesting_gives_handle_check
 from .oracles import (
     DEFAULT_BUDGET,
@@ -33,12 +52,17 @@ class OracleVerifier(PipelineObserver):
 
     ``checks`` counts how often each check ran, ``failures`` holds a message
     per violated guarantee.  Checks silently skip levels larger than the
-    oracle budget.
+    oracle budget.  Messages name vertices by their ids in the input graph.
     """
 
     budget: OracleBudget = DEFAULT_BUDGET
     checks: Counter = field(default_factory=Counter)
     failures: list[str] = field(default_factory=list)
+    # The graph of the current run, its dense replica (None while the whole
+    # graph exceeds the budget) and the replica id of each of its vertices.
+    _source: WorkingGraph | Graph | None = field(default=None, init=False, repr=False)
+    _dense: Graph | None = field(default=None, init=False, repr=False)
+    _local: dict[int, int] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -49,15 +73,20 @@ class OracleVerifier(PipelineObserver):
         if not passed:
             self.failures.append(f"{name}: {detail}")
 
-    def _level(self, g: Graph, domain: frozenset[int]):
+    def _level(self, g: WorkingGraph, domain: frozenset[int]):
         """Materialized level subgraph plus the original-to-local id map."""
-        if len(domain) == g.n:
-            return g, {v: v for v in g.vertices}
-        sub, old_ids = induced(g, domain)
-        return sub, {old: new for new, old in enumerate(old_ids)}
+        if len(domain) < len(g.vertices):
+            sub, old_ids = induced(g, domain)
+            return sub, {old: new for new, old in enumerate(old_ids)}
+        if self._dense is None:
+            self._dense, old_ids = induced(g, g.vertices)
+            self._local = {old: new for new, old in enumerate(old_ids)}
+        return self._dense, self._local
 
-    def interesting(self, g: Graph, domain: frozenset[int],
+    def interesting(self, g: WorkingGraph, domain: frozenset[int],
                     result: InterestingSetResult) -> None:
+        if g is not self._source:  # first hook of a new run
+            self._source, self._dense = g, None
         if len(domain) > self.budget.max_n:
             return
         sub, to_local = self._level(g, domain)
@@ -80,7 +109,7 @@ class OracleVerifier(PipelineObserver):
                      interesting_gives_handle_check(sub, tset, self.budget),
                      f"set {sorted(result.tset)} gives no handle in the complement")
 
-    def outer_path(self, g: Graph, domain: frozenset[int], tset: frozenset[int],
+    def outer_path(self, g: WorkingGraph, domain: frozenset[int], tset: frozenset[int],
                    cset: frozenset[int], path: OuterPath | None) -> None:
         if len(domain) > self.budget.max_n:
             return
@@ -99,7 +128,7 @@ class OracleVerifier(PipelineObserver):
                      brute_minimal_outer_path_check(sub, t_local, c_local, local, self.budget),
                      f"path {path.vertices} is not a minimal T-outer path")
 
-    def bottom_pair(self, g: Graph, domain: frozenset[int],
+    def bottom_pair(self, g: WorkingGraph, domain: frozenset[int],
                     result: DisjointCliques, pair: tuple[int, int]) -> None:
         if len(domain) > self.budget.max_n:
             return
@@ -109,14 +138,19 @@ class OracleVerifier(PipelineObserver):
                      is_special_even_pair_exact(sub, a, b, self.budget),
                      f"bottom pair {pair} is not special in its level")
 
-    def contracted(self, before: Graph, a: int, b: int, after: Graph) -> None:
-        if before.n > self.budget.max_n:
+    def contracted(self, g: WorkingGraph, a: int, b: int) -> None:
+        before = self._dense
+        if before is None:  # the graph before the merge exceeded the budget
             return
-        self._record("pair_even", is_even_pair_exact(before, a, b, self.budget),
+        da, db = self._local[a], self._local[b]
+        after, _ = contract(before, da, db)
+        self._source, self._dense = g, after
+        self._local = {v: i for i, v in enumerate(g.vertices)}
+        self._record("pair_even", is_even_pair_exact(before, da, db, self.budget),
                      f"contracted pair ({a}, {b}) is not an even pair")
-        self._record("pair_special", is_special_even_pair_exact(before, a, b, self.budget),
+        self._record("pair_special", is_special_even_pair_exact(before, da, db, self.budget),
                      f"contracted pair ({a}, {b}) is not special")
-        self._record("pair_invariance", fonlupt_uhry_check(before, a, b, self.budget),
+        self._record("pair_invariance", fonlupt_uhry_check(before, da, db, self.budget),
                      f"contracting ({a}, {b}) changed the color or clique number")
         ok, witness = is_artemis(after, self.budget)
         self._record("class_preserved", ok,

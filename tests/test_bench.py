@@ -1,5 +1,5 @@
-from artemis_color import OracleVerifier, chordal
-from artemis_color.bench import bench, residue_cliques, run_instance
+from artemis_color import OracleVerifier, chordal, components, contract
+from artemis_color.bench import bench, fit_loglog_slope, run_instance
 
 
 def test_counters_monotone_in_size():
@@ -31,6 +31,13 @@ def test_run_instance_report_fields():
 def test_residue_cliques_partition_final_graph():
     g = chordal(12, 0.4, 3)
     _, coloring, trace = run_instance(g, "probe")
-    parts = residue_cliques(g, trace)
-    assert sum(len(p) for p in parts) == g.n - len(trace.steps)
-    assert coloring.num_colors == max(len(p) for p in parts)
+    final = g
+    for step in trace.steps:  # replay on immutable graphs as the reference
+        final, _ = contract(final, step.a, step.b)
+    assert list(trace.residue) == [frozenset(part) for part in components(final)]
+    assert coloring.num_colors == max(len(p) for p in trace.residue)
+
+
+def test_fit_loglog_slope_recovers_exact_power_law():
+    xs = [3.0, 10.0, 41.0, 250.0, 1999.0]
+    assert abs(fit_loglog_slope(xs, [0.37 * x ** 2.6 for x in xs]) - 2.6) < 1e-9

@@ -7,6 +7,7 @@ from artemis_color import (
     DisjointCliques,
     MaximalInteresting,
     OpCounters,
+    OracleVerifier,
     bipartite,
     brute_maximal_interesting_check,
     brute_minimal_outer_path_check,
@@ -295,3 +296,48 @@ def test_lift_from_driver_is_proper():
     coloring, trace = color_artemis(g)
     assert is_proper(g, coloring)
     assert coloring.colors[0] == coloring.colors[2]  # first contraction merged them
+
+
+# --- in-place driver against the immutable reference ------------------------
+
+def _reference_color(g, observer=None):
+    """The driver on immutable graphs: one fresh Graph per contraction."""
+    counters = OpCounters()
+    trace = ContractionTrace(original_n=g.n)
+    current = g
+    while True:
+        res = find_special_even_pair(current, counters=counters, observer=observer)
+        if isinstance(res, DisjointCliques):
+            break
+        current, step = contract(current, *res)
+        if observer is not None:
+            observer.contracted(current, *res)
+        trace.append(step)
+    coloring = lift_coloring(trace, greedy_color_cliques(res.cliques), original_graph=g)
+    return coloring, trace.steps, res.cliques, counters
+
+
+def _color_both(g, observer=None, ref_observer=None):
+    counters = OpCounters()
+    coloring, trace = color_artemis(g, counters=counters, observer=observer)
+    assert (coloring, trace.steps, trace.residue, counters) == _reference_color(g, ref_observer)
+    return counters
+
+
+def test_in_place_driver_matches_immutable_reference():
+    even_pair_ops = 0
+    for maker, sizes, density in ((chordal, (6, 20, 45), 0.5),
+                                  (bipartite, (6, 20, 60), 0.15),
+                                  (filtered_random, (6, 9, 12), 0.5)):
+        for n in sizes:
+            for seed in range(3):
+                even_pair_ops += _color_both(maker(n, density, 31 * n + seed)).even_pair
+    assert even_pair_ops > 0  # outer-path pairs were exercised, not just bottom pairs
+
+
+def test_in_place_driver_feeds_verifier_like_reference():
+    g = bipartite(12, 0.3, 5)
+    verifier, ref_verifier = OracleVerifier(), OracleVerifier()
+    _color_both(g, verifier, ref_verifier)
+    assert verifier.checks["pair_even"] > 0 and verifier.checks == ref_verifier.checks
+    assert not verifier.failures and not ref_verifier.failures

@@ -180,7 +180,6 @@ def test_bfs_from_to_c6():
     assert forest.order == [3, 4, 5]
     assert forest.reached_targets == {0, 2}
     assert forest.parent[2] == 3 and forest.parent[0] == 5
-    assert forest.path_from_root(0) == [3, 4, 5, 0]
 
 
 def test_bfs_from_to_empty_targets_is_plain_bfs():
