@@ -29,7 +29,6 @@ from .engine import (
 )
 from .generators import bipartite, chordal, filtered_random, generate, random_graph
 from .graphs import (
-    BITSET_THRESHOLD,
     ContractionStep,
     ContractionTrace,
     Graph,

@@ -45,9 +45,8 @@ def residue_cliques(trace: ContractionTrace) -> list[list[int]]:
 def _trace_json(trace: ContractionTrace, chain_depths: tuple[int, ...],
                 residue: list[list[int]]) -> str:
     steps = [
-        {"a": step.a, "b": step.b, "merged": step.merged,
-         "chain_depth": chain_depths[i] if i < len(chain_depths) else None}
-        for i, step in enumerate(trace.steps)
+        {"a": step.a, "b": step.b, "merged": step.merged, "chain_depth": depth}
+        for step, depth in zip(trace.steps, chain_depths)
     ]
     payload = {"original_n": trace.original_n, "steps": steps,
                "residue_cliques": residue}

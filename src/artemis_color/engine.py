@@ -533,42 +533,40 @@ def greedy_color_cliques(cliques: Iterable[Iterable[int]]) -> Coloring:
     return Coloring(tuple(assigned[v] for v in range(n)), width)
 
 
-def is_proper(g: Graph, coloring: Coloring) -> bool:
-    if len(coloring.colors) != g.n:
-        return False
+def _improper(g: Graph, coloring: Coloring) -> str | None:
+    """Why the coloring is not proper on g, or None when it is."""
     cols = coloring.colors
-    return all(cols[u] != cols[v] for u, v in g.edges())
-
-
-def _require_proper(g: Graph, coloring: Coloring, label: str) -> None:
-    if len(coloring.colors) != g.n:
-        raise ColoringError(f"{label} covers {len(coloring.colors)} vertices, graph has {g.n}")
-    cols = coloring.colors
+    if len(cols) != g.n:
+        return f"covers {len(cols)} vertices, graph has {g.n}"
     for u, v in g.edges():
         if cols[u] == cols[v]:
-            raise ColoringError(f"{label} gives both endpoints of edge ({u}, {v}) color {cols[u]}")
+            return f"gives both endpoints of edge ({u}, {v}) color {cols[u]}"
+    return None
+
+
+def is_proper(g: Graph, coloring: Coloring) -> bool:
+    return _improper(g, coloring) is None
 
 
 def lift_coloring(trace: ContractionTrace, coloring: Coloring, *,
-                  final_graph: Graph | None = None,
                   original_graph: Graph | None = None) -> Coloring:
     """Copy a coloring of the fully contracted graph back to the original one.
 
     Walking the trace backwards, each step gives both merged endpoints the
-    merged vertex's color.  The color count never changes.  When the final or
-    original graph is supplied, properness is checked on that side.
+    merged vertex's color.  The color count never changes.  When the original
+    graph is supplied, the lifted coloring is checked to be proper on it.
     """
     if len(coloring.colors) != trace.current_n:
         raise ColoringError(
             f"coloring covers {len(coloring.colors)} vertices, trace ends at {trace.current_n}")
-    if final_graph is not None:
-        _require_proper(final_graph, coloring, "input coloring")
     cols = list(coloring.colors)
     for step in reversed(trace.steps):
         cols = [cols[new] for new in step.vertex_map]
     lifted = Coloring(tuple(cols), coloring.num_colors)
     if original_graph is not None:
-        _require_proper(original_graph, lifted, "lifted coloring")
+        problem = _improper(original_graph, lifted)
+        if problem is not None:
+            raise ColoringError(f"lifted coloring {problem}")
     return lifted
 
 

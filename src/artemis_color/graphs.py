@@ -9,11 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
-
-# Below this vertex count a per-vertex neighborhood bitmask is kept alongside
-# the set/list adjacency; above it, adjacency tests fall back to set membership.
-BITSET_THRESHOLD = 4096
+from typing import Iterable, Iterator
 
 
 class GraphError(ValueError):
@@ -25,15 +21,13 @@ class Graph:
 
     Instances are immutable: contraction, complement and induced subgraphs
     return new graphs, which makes traces and parallel reads safe.  Adjacency
-    is stored three ways: frozensets for O(1) membership, sorted tuples for
-    deterministic O(deg) scans, and (up to ``bitset_threshold``) int bitmasks
-    for word-parallel set algebra.
+    is stored two ways: frozensets for O(1) membership and sorted tuples for
+    deterministic O(deg) scans.
     """
 
-    __slots__ = ("n", "m", "_sets", "_lists", "_masks")
+    __slots__ = ("n", "m", "_sets", "_lists")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]], *,
-                 bitset_threshold: int = BITSET_THRESHOLD) -> None:
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
         adj: list[set[int]] = [set() for _ in range(n)]
@@ -51,11 +45,6 @@ class Graph:
         self.m = m
         self._sets = tuple(frozenset(s) for s in adj)
         self._lists = tuple(tuple(sorted(s)) for s in adj)
-        if n <= bitset_threshold:
-            self._masks: tuple[int, ...] | None = tuple(
-                sum(1 << w for w in s) for s in adj)
-        else:
-            self._masks = None
 
     @property
     def vertices(self) -> range:
@@ -72,19 +61,7 @@ class Graph:
         return len(self._lists[v])
 
     def adjacent(self, u: int, v: int) -> bool:
-        if self._masks is not None:
-            return bool(self._masks[u] >> v & 1)
         return v in self._sets[u]
-
-    @property
-    def has_masks(self) -> bool:
-        return self._masks is not None
-
-    def mask(self, v: int) -> int:
-        """Neighborhood of v as a bitmask; only for graphs under the threshold."""
-        if self._masks is None:
-            raise GraphError("bitmask adjacency disabled for this graph size")
-        return self._masks[v]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, in ascending lexicographic order."""
@@ -102,29 +79,13 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def new_graph(n: int, edges: Iterable[tuple[int, int]], *,
-              bitset_threshold: int = BITSET_THRESHOLD) -> Graph:
+def new_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from a vertex count and an edge list.
 
     Duplicate edges are collapsed; out-of-range endpoints and self-loops are
     rejected with a diagnostic.
     """
-    return Graph(n, edges, bitset_threshold=bitset_threshold)
-
-
-def mask_of(vertices: Iterable[int]) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
-
-
-def iter_bits(mask: int) -> Iterator[int]:
-    """Set bit positions of mask in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    return Graph(n, edges)
 
 
 @dataclass(frozen=True)
@@ -244,12 +205,6 @@ def common_complete(g: Graph, tset: Iterable[int]) -> set[int]:
     members = set(tset)
     if not members:
         raise GraphError("common_complete needs a nonempty vertex set")
-    if g.has_masks:
-        acc = (1 << g.n) - 1
-        for v in members:
-            acc &= g.mask(v)
-        acc &= ~mask_of(members)
-        return set(iter_bits(acc))
     result: set[int] | None = None
     for v in members:
         nbrs = g.neighbor_set(v)
@@ -260,15 +215,9 @@ def common_complete(g: Graph, tset: Iterable[int]) -> set[int]:
 
 def is_clique(g: Graph, s: Iterable[int]) -> bool:
     """True when every pair inside s is adjacent; the empty set is a clique."""
-    members = sorted(set(s))
-    size = len(members)
-    if size <= 1:
-        return True
-    if g.has_masks:
-        smask = mask_of(members)
-        return all((smask & ~g.mask(v)) == 1 << v for v in members)
-    need = size - 1
-    return all(len(g.neighbor_set(v) & set(members)) == need for v in members)
+    members = set(s)
+    need = len(members) - 1
+    return all(len(g.neighbor_set(v) & members) == need for v in members)
 
 
 def components(g: Graph, s: Iterable[int] | None = None) -> list[set[int]]:

@@ -12,16 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import (
-    Graph,
-    GraphError,
-    common_complete,
-    components,
-    contract,
-    is_clique,
-    iter_bits,
-    mask_of,
-)
+from .graphs import Graph, GraphError, common_complete, components, contract, is_clique
 
 ODD_HOLE = "odd_hole"
 ANTIHOLE = "antihole"
@@ -66,6 +57,26 @@ def _require(value: int, cap: int, what: str) -> None:
         raise BudgetExceeded(f"{what}: size {value} exceeds the budget of {cap}")
 
 
+def mask_of(vertices: Iterable[int]) -> int:
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def iter_bits(mask: int) -> Iterator[int]:
+    """Set bit positions of mask in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _neighbor_masks(g: Graph) -> list[int]:
+    """Neighborhood of every vertex as a bitmask, indexed by vertex."""
+    return [mask_of(g.neighbors(v)) for v in g.vertices]
+
+
 def _subsets_lex(n: int, min_size: int) -> Iterator[tuple[int, ...]]:
     """All subsets of 0..n-1 with at least min_size elements, in lexicographic
     order of their sorted tuples (a prefix precedes its extensions)."""
@@ -105,7 +116,7 @@ def _cycle_order(masks: Sequence[int], subset: tuple[int, ...]) -> tuple[int, ..
 def find_odd_hole(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> StructureWitness | None:
     """First chordless odd cycle of length at least five, by subset enumeration."""
     _require(g.n, budget.max_n, "odd-hole detector")
-    masks = [g.mask(v) for v in g.vertices]
+    masks = _neighbor_masks(g)
     for subset in _subsets_lex(g.n, 5):
         if len(subset) % 2 == 0:
             continue
@@ -121,7 +132,7 @@ def find_antihole(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> StructureW
     five-holes and belong to the odd-hole detector."""
     _require(g.n, budget.max_n, "antihole detector")
     full = (1 << g.n) - 1
-    co_masks = [full & ~g.mask(v) & ~(1 << v) for v in g.vertices]
+    co_masks = [full & ~mask & ~(1 << v) for v, mask in enumerate(_neighbor_masks(g))]
     for subset in _subsets_lex(g.n, 6):
         order = _cycle_order(co_masks, subset)
         if order is not None:
@@ -165,10 +176,10 @@ def _prism_paths_ok(nbrs_in: dict[int, set[int]], tri_a: tuple[int, ...],
     return paths == 3
 
 
-def _prism_check(g: Graph, subset: tuple[int, ...]) -> bool:
+def _prism_check(masks: Sequence[int], subset: tuple[int, ...]) -> bool:
     k = len(subset)
     smask = mask_of(subset)
-    nbrs_in = {v: set(iter_bits(g.mask(v) & smask)) for v in subset}
+    nbrs_in = {v: set(iter_bits(masks[v] & smask)) for v in subset}
     if sum(len(s) for s in nbrs_in.values()) // 2 != k + 3:
         return False
     deg3 = [v for v in subset if len(nbrs_in[v]) == 3]
@@ -192,8 +203,9 @@ def find_prism(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> StructureWitn
     """First vertex subset inducing a prism: two disjoint triangles joined by
     three vertex-disjoint paths and nothing else."""
     _require(g.n, budget.max_n, "prism detector")
+    masks = _neighbor_masks(g)
     for subset in _subsets_lex(g.n, 6):
-        if _prism_check(g, subset):
+        if _prism_check(masks, subset):
             return StructureWitness(PRISM, subset)
     return None
 
@@ -217,6 +229,7 @@ def enumerate_chordless_paths(g: Graph, x: int, y: int,
     _require(g.n, budget.max_n, "chordless-path enumeration")
     if x == y or not (0 <= x < g.n and 0 <= y < g.n):
         raise GraphError("chordless paths need two distinct vertices in range")
+    masks = _neighbor_masks(g)
     result: list[tuple[int, ...]] = []
     path = [x]
 
@@ -232,7 +245,7 @@ def enumerate_chordless_paths(g: Graph, x: int, y: int,
                 result.append(tuple(path) + (y,))
                 continue
             path.append(w)
-            extend(forbid | g.mask(last) | 1 << w)
+            extend(forbid | masks[last] | 1 << w)
             path.pop()
 
     extend(1 << x)
@@ -263,7 +276,7 @@ def max_clique_exact(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
     _require(g.n, budget.max_bb_n, "max-clique search")
     if g.n == 0:
         return 0
-    masks = [g.mask(v) for v in g.vertices]
+    masks = _neighbor_masks(g)
     best = 0
 
     def expand(cand: int, size: int) -> None:
@@ -360,6 +373,7 @@ def enumerate_outer_paths(g: Graph, tset: Iterable[int], cset: Iterable[int],
     tset = set(tset)
     cset = set(cset)
     interior_pool = set(g.vertices) - tset - cset
+    masks = _neighbor_masks(g)
     result: list[tuple[int, ...]] = []
     for start in sorted(cset):
         path = [start]
@@ -379,7 +393,7 @@ def enumerate_outer_paths(g: Graph, tset: Iterable[int], cset: Iterable[int],
                 if w not in interior_pool:
                     continue
                 path.append(w)
-                extend(forbid | g.mask(last) | 1 << w)
+                extend(forbid | masks[last] | 1 << w)
                 path.pop()
 
         extend(1 << start)

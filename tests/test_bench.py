@@ -28,7 +28,7 @@ def test_run_instance_report_fields():
     assert len(report.chain_depths) == report.contractions + 1
 
 
-def test_residue_cliques_partition_final_graph():
+def test_residue_cliques_partition_contracted_graph():
     g = chordal(12, 0.4, 3)
     _, coloring, trace = run_instance(g, "probe")
     final = g

@@ -228,21 +228,6 @@ def test_color_empty_graph():
     assert coloring == Coloring((), 0) and not trace.steps
 
 
-def test_pipeline_works_without_bitmask_adjacency():
-    # above the bitset threshold adjacency falls back to set membership;
-    # force that path on a small instance and compare against the normal one
-    from artemis_color import new_graph
-
-    reference = chordal(15, 0.5, 77)
-    plain = new_graph(15, reference.edges(), bitset_threshold=0)
-    assert not plain.has_masks and reference.has_masks
-    ref_coloring, ref_trace = color_artemis(reference)
-    coloring, trace = color_artemis(plain)
-    assert coloring == ref_coloring
-    assert [(s.a, s.b) for s in trace.steps] == [(s.a, s.b) for s in ref_trace.steps]
-    assert is_proper(plain, coloring)
-
-
 def test_coloring_is_optimal_on_samples():
     for g in artemis_samples(4):
         coloring, trace = color_artemis(g)
@@ -267,23 +252,23 @@ def test_lift_empty_trace_is_identity():
 
 def test_lift_single_step_copies_color_to_both_endpoints():
     g = path_graph(4)
-    merged, step = contract(g, 0, 2)  # merged graph is the star 1 - 0 - 2
+    _, step = contract(g, 0, 2)  # merged graph is the star 1 - 0 - 2
     trace = ContractionTrace(original_n=4)
     trace.append(step)
     residue = Coloring((0, 1, 1), 2)
-    lifted = lift_coloring(trace, residue, final_graph=merged, original_graph=g)
+    lifted = lift_coloring(trace, residue, original_graph=g)
     assert lifted.colors[0] == lifted.colors[2]
     assert lifted.num_colors == 2 and is_proper(g, lifted)
 
 
 def test_lift_rejects_improper_input():
     g = path_graph(4)
-    merged, step = contract(g, 0, 2)
+    _, step = contract(g, 0, 2)
     trace = ContractionTrace(original_n=4)
     trace.append(step)
-    bad = Coloring((0, 0, 1), 2)  # 0 and 1 are adjacent in the merged star
+    bad = Coloring((0, 0, 1), 2)  # lifts to (0, 0, 0, 1): edge 0-1 clashes
     with pytest.raises(ColoringError):
-        lift_coloring(trace, bad, final_graph=merged)
+        lift_coloring(trace, bad, original_graph=g)
 
 
 def test_coloring_type_rejects_unused_colors():

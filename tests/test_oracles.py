@@ -171,6 +171,31 @@ def test_detectors_match_independent_enumeration():
         assert (find_prism(g) is not None) == _nx_has_prism(g)
 
 
+def test_max_clique_matches_networkx():
+    rng = random.Random(22)
+    for _ in range(60):
+        g = random_graph(rng.randrange(1, 17), rng.choice((0.2, 0.4, 0.6, 0.8)),
+                         rng.randrange(10**6))
+        expected = max((len(c) for c in nx.find_cliques(_nx_graph(g))), default=0)
+        assert max_clique_exact(g) == expected
+
+
+def _nx_chordless_paths(g, x, y):
+    h = _nx_graph(g)
+    return sorted(tuple(p) for p in nx.all_simple_paths(h, x, y)
+                  if not any(h.has_edge(p[i], p[j])
+                             for i in range(len(p)) for j in range(i + 2, len(p))))
+
+
+def test_chordless_paths_match_networkx():
+    rng = random.Random(23)
+    for _ in range(40):
+        n = rng.randrange(2, 11)
+        g = random_graph(n, rng.choice((0.25, 0.4, 0.55)), rng.randrange(10**6))
+        for x, y in (rng.sample(range(n), 2) for _ in range(3)):
+            assert enumerate_chordless_paths(g, x, y) == _nx_chordless_paths(g, x, y)
+
+
 def test_witnesses_reverify():
     rng = random.Random(21)
     seen = {ODD_HOLE: 0, ANTIHOLE: 0, PRISM: 0}
