@@ -172,7 +172,7 @@ def contract(g: WorkingGraph, a: int, b: int) -> ContractionStep:
     ra, rb = g.rank(a), g.rank(b)
     if g.adjacent(a, b):
         raise GraphError(f"vertices {a} and {b} are adjacent; contraction of an edge is undefined")
-    (lo, r_lo), (hi, r_hi) = sorted(((a, ra), (b, rb)))
+    lo, hi = (a, b) if a < b else (b, a)
     kept = g._sets[lo]
     for w in g._lists[hi]:
         nbrs, nbr_set = g._lists[w], g._sets[w]
@@ -184,10 +184,8 @@ def contract(g: WorkingGraph, a: int, b: int) -> ContractionStep:
             kept.add(w)
     g._lists[lo] = sorted(kept)
     g._sets[hi], g._lists[hi] = set(), []
-    n = len(g._live)
-    del g._live[r_hi]
-    vertex_map = (*range(r_hi), r_lo, *range(r_hi, n - 1))
-    return ContractionStep(a=ra, b=rb, merged=r_lo, vertex_map=vertex_map)
+    del g._live[max(ra, rb)]
+    return ContractionStep(a=ra, b=rb)
 
 
 class PipelineObserver:
@@ -549,24 +547,24 @@ def is_proper(g: Graph, coloring: Coloring) -> bool:
 
 
 def lift_coloring(trace: ContractionTrace, coloring: Coloring, *,
-                  original_graph: Graph | None = None) -> Coloring:
+                  original_graph: Graph) -> Coloring:
     """Copy a coloring of the fully contracted graph back to the original one.
 
-    Walking the trace backwards, each step gives both merged endpoints the
-    merged vertex's color.  The color count never changes.  When the original
-    graph is supplied, the lifted coloring is checked to be proper on it.
+    Walking the trace backwards, each step reinserts the larger endpoint with
+    the merged vertex's color, which undoes the shift of the ids above it.
+    The color count never changes.  The lifted coloring is checked to be
+    proper on the original graph.
     """
     if len(coloring.colors) != trace.current_n:
         raise ColoringError(
             f"coloring covers {len(coloring.colors)} vertices, trace ends at {trace.current_n}")
     cols = list(coloring.colors)
     for step in reversed(trace.steps):
-        cols = [cols[new] for new in step.vertex_map]
+        cols.insert(max(step.a, step.b), cols[step.merged])
     lifted = Coloring(tuple(cols), coloring.num_colors)
-    if original_graph is not None:
-        problem = _improper(original_graph, lifted)
-        if problem is not None:
-            raise ColoringError(f"lifted coloring {problem}")
+    problem = _improper(original_graph, lifted)
+    if problem is not None:
+        raise ColoringError(f"lifted coloring {problem}")
     return lifted
 
 

@@ -90,24 +90,22 @@ def new_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 @dataclass(frozen=True)
 class ContractionStep:
-    """Bookkeeping for one merge of two non-adjacent vertices.
+    """One merge of two non-adjacent vertices, in the dense ids before it.
 
-    ``vertex_map`` sends every pre-merge id to its post-merge id; ``a`` and
-    ``b`` both map to ``merged``.
+    The smaller id survives as ``merged`` and ids above the larger one shift
+    down by one, so the pair alone determines the renumbering.
     """
 
     a: int
     b: int
-    merged: int
-    vertex_map: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.a == self.b:
             raise GraphError("contraction step needs two distinct vertices")
-        if self.vertex_map[self.a] != self.merged or self.vertex_map[self.b] != self.merged:
-            raise GraphError("vertex_map must send both endpoints to the merged id")
-        if set(self.vertex_map) != set(range(len(self.vertex_map) - 1)):
-            raise GraphError("vertex_map must be onto the successor vertex range")
+
+    @property
+    def merged(self) -> int:
+        return min(self.a, self.b)
 
 
 @dataclass
@@ -123,9 +121,9 @@ class ContractionTrace:
     residue: tuple[frozenset[int], ...] = ()
 
     def append(self, step: ContractionStep) -> None:
-        if len(step.vertex_map) != self.current_n:
+        if not (0 <= step.a < self.current_n and 0 <= step.b < self.current_n):
             raise GraphError(
-                f"step expects {len(step.vertex_map)} vertices, trace is at {self.current_n}")
+                f"step ({step.a}, {step.b}) out of range, trace is at {self.current_n}")
         if len(self.steps) >= self.original_n - 1:
             raise GraphError("trace cannot exceed n-1 contractions")
         self.steps.append(step)
@@ -137,9 +135,8 @@ class ContractionTrace:
 
 @dataclass
 class SearchForest:
-    """Result of a breadth-first search; ``parent`` maps roots to None."""
+    """Result of a breadth-first search: the expansion order and the targets reached."""
 
-    parent: dict[int, int | None]
     order: list[int]
     reached_targets: set[int]
 
@@ -158,16 +155,16 @@ def contract(g: Graph, a: int, b: int) -> tuple[Graph, ContractionStep]:
     if g.adjacent(a, b):
         raise GraphError(f"vertices {a} and {b} are adjacent; contraction of an edge is undefined")
     lo, hi = (a, b) if a < b else (b, a)
-    vertex_map = tuple(
+    to_new = tuple(
         lo if v == a or v == b else (v - 1 if v > hi else v)
         for v in range(g.n))
     mapped = set()
     for u, v in g.edges():
-        mu, mv = vertex_map[u], vertex_map[v]
+        mu, mv = to_new[u], to_new[v]
         if mu != mv:
             mapped.add((mu, mv) if mu < mv else (mv, mu))
     successor = Graph(g.n - 1, sorted(mapped))
-    return successor, ContractionStep(a=a, b=b, merged=lo, vertex_map=vertex_map)
+    return successor, ContractionStep(a=a, b=b)
 
 
 def complement(g: Graph) -> Graph:
@@ -256,7 +253,6 @@ def bfs_from_to(g: Graph, domain: Iterable[int], sources: Iterable[int],
         raise GraphError("sources and targets must lie inside the search domain")
     if tgt.intersection(src):
         raise GraphError("sources and targets must be disjoint")
-    parent: dict[int, int | None] = {v: None for v in src}
     order: list[int] = []
     reached: set[int] = set()
     seen = set(src)
@@ -268,12 +264,11 @@ def bfs_from_to(g: Graph, domain: Iterable[int], sources: Iterable[int],
             if w not in dom or w in seen:
                 continue
             seen.add(w)
-            parent[w] = u
             if w in tgt:
                 reached.add(w)
             else:
                 queue.append(w)
-    return SearchForest(parent=parent, order=order, reached_targets=reached)
+    return SearchForest(order=order, reached_targets=reached)
 
 
 def is_simplicial(g: Graph, v: int) -> bool:

@@ -35,9 +35,11 @@ from .graphs import (
 from .handles import interesting_gives_handle_check
 from .oracles import (
     DEFAULT_BUDGET,
+    PRISM,
     OracleBudget,
     brute_maximal_interesting_check,
     brute_minimal_outer_path_check,
+    find_prism,
     fonlupt_uhry_check,
     is_artemis,
     is_even_pair_exact,
@@ -146,12 +148,18 @@ class OracleVerifier(PipelineObserver):
         after, _ = contract(before, da, db)
         self._source, self._dense = g, after
         self._local = {v: i for i, v in enumerate(g.vertices)}
-        self._record("pair_even", is_even_pair_exact(before, da, db, self.budget),
+        even = is_even_pair_exact(before, da, db, self.budget)
+        ok, witness = is_artemis(after, self.budget)
+        # Special means even with a prism-free contraction; the class scan
+        # already settles the prism question unless it stopped at an odd hole
+        # or an antihole first.
+        special = even and (ok or (witness.kind != PRISM
+                                   and find_prism(after, self.budget) is None))
+        self._record("pair_even", even,
                      f"contracted pair ({a}, {b}) is not an even pair")
-        self._record("pair_special", is_special_even_pair_exact(before, da, db, self.budget),
+        self._record("pair_special", special,
                      f"contracted pair ({a}, {b}) is not special")
         self._record("pair_invariance", fonlupt_uhry_check(before, da, db, self.budget),
                      f"contracting ({a}, {b}) changed the color or clique number")
-        ok, witness = is_artemis(after, self.budget)
         self._record("class_preserved", ok,
                      f"contracting ({a}, {b}) left the class: {witness}")

@@ -247,7 +247,8 @@ def test_greedy_color_cliques():
 
 def test_lift_empty_trace_is_identity():
     coloring = Coloring((0, 1, 0), 2)
-    assert lift_coloring(ContractionTrace(original_n=3), coloring) == coloring
+    g = path_graph(3)
+    assert lift_coloring(ContractionTrace(original_n=3), coloring, original_graph=g) == coloring
 
 
 def test_lift_single_step_copies_color_to_both_endpoints():

@@ -49,15 +49,15 @@ def test_contract_p4():
     g, step = contract(path_graph(4), 0, 2)
     assert g.n == 3 and g.m == 2
     assert sorted(g.neighbor_set(step.merged)) == [1, 2]
-    assert step.vertex_map[0] == step.vertex_map[2] == step.merged == 0
+    assert (step.a, step.b, step.merged) == (0, 2, 0)
 
 
 def test_contract_c6_creates_four_hole():
     g, step = contract(cycle_graph(6), 0, 2)
     assert g.n == 5
-    old_to_new = step.vertex_map
-    assert g.neighbor_set(step.merged) == {old_to_new[1], old_to_new[3], old_to_new[5]}
-    hole = [step.merged, old_to_new[3], old_to_new[4], old_to_new[5]]
+    # 1 keeps its id; 3, 4 and 5 shift down to 2, 3 and 4.
+    assert g.neighbor_set(step.merged) == {1, 2, 4}
+    hole = [step.merged, 2, 3, 4]
     for i in range(4):
         assert g.adjacent(hole[i], hole[(i + 1) % 4])
     assert not g.adjacent(hole[0], hole[2]) and not g.adjacent(hole[1], hole[3])
@@ -75,23 +75,31 @@ def test_contract_rejects_adjacent():
 
 def test_contract_lifts_any_proper_coloring():
     # Copying the merged vertex's color back to both endpoints keeps any
-    # proper coloring proper, whenever the endpoints were non-adjacent.
+    # proper coloring proper, whenever the endpoints were non-adjacent.  Over
+    # a chain of contractions each original vertex gets the color of the
+    # vertex it ended up in.
     import random
 
-    from artemis_color import random_graph
+    from artemis_color import Coloring, lift_coloring, random_graph
 
     rng = random.Random(5)
     for _ in range(50):
         g = random_graph(8, 0.4, rng.randrange(10**6))
-        nonadj = [(u, v) for u in range(8) for v in range(u + 1, 8)
-                  if not g.adjacent(u, v)]
-        if not nonadj:
-            continue
-        a, b = nonadj[rng.randrange(len(nonadj))]
-        merged, step = contract(g, a, b)
-        colors = {v: i for i, v in enumerate(range(merged.n))}  # rainbow is proper
-        lifted = [colors[step.vertex_map[v]] for v in range(g.n)]
-        assert all(lifted[u] != lifted[v] for u, v in g.edges())
+        trace = ContractionTrace(original_n=g.n)
+        current, final_id = g, list(range(g.n))
+        for _ in range(rng.randint(1, 3)):
+            nonadj = [(u, v) for u in current.vertices for v in current.vertices
+                      if u != v and not current.adjacent(u, v)]
+            if not nonadj:
+                break
+            a, b = nonadj[rng.randrange(len(nonadj))]
+            current, step = contract(current, a, b)
+            trace.append(step)
+            hi = max(a, b)
+            final_id = [min(a, b) if w == hi else w - (w > hi) for w in final_id]
+        rainbow = Coloring(tuple(range(current.n)), current.n)  # proper on any graph
+        lifted = lift_coloring(trace, rainbow, original_graph=g)  # raises if improper
+        assert lifted.colors == tuple(final_id)
 
 
 def test_complement_k3():
@@ -179,7 +187,6 @@ def test_bfs_from_to_c6():
     forest = bfs_from_to(g, set(range(6)) - {1}, {3}, {0, 2})
     assert forest.order == [3, 4, 5]
     assert forest.reached_targets == {0, 2}
-    assert forest.parent[2] == 3 and forest.parent[0] == 5
 
 
 def test_bfs_from_to_empty_targets_is_plain_bfs():
@@ -194,7 +201,7 @@ def test_bfs_from_to_targets_are_leaves():
     g = path_graph(2)
     forest = bfs_from_to(g, {0, 1}, {0}, {1})
     assert forest.reached_targets == {1}
-    assert 1 not in forest.parent.values()  # no child hangs off the target
+    assert forest.order == [0]  # the target is reached but never expanded
 
 
 def test_bfs_from_to_validates_inputs():
@@ -217,10 +224,14 @@ def test_trace_rejects_overlong_and_mismatched_steps():
     trace = ContractionTrace(original_n=3)
     trace.append(step)
     with pytest.raises(GraphError):
-        trace.append(step)  # wrong vertex range now
+        trace.append(step)  # vertex 2 is gone after the first merge
+    with pytest.raises(GraphError):
+        trace.append(ContractionStep(a=-1, b=0))
+    with pytest.raises(GraphError):
+        ContractionStep(a=1, b=1)
     short = ContractionTrace(original_n=2)
-    short.append(ContractionStep(a=0, b=1, merged=0, vertex_map=(0, 0)))
-    assert short.current_n == 1
+    short.append(ContractionStep(a=1, b=0))
+    assert short.current_n == 1 and short.steps[0].merged == 0
     with pytest.raises(GraphError):
         # a trace never holds more than n-1 contractions
-        short.append(ContractionStep(a=0, b=1, merged=0, vertex_map=(0, 0)))
+        short.append(ContractionStep(a=0, b=1))
