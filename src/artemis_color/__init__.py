@@ -54,11 +54,9 @@ from .handles import (
 )
 from .oracles import (
     ANTIHOLE,
-    DEFAULT_BUDGET,
     ODD_HOLE,
     PRISM,
     BudgetExceeded,
-    OracleBudget,
     StructureWitness,
     brute_maximal_interesting_check,
     brute_minimal_outer_path_check,

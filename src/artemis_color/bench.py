@@ -35,8 +35,6 @@ class RunReport:
     first_call_ops: int
     chain_depths: tuple[int, ...]
     wall_time: float
-    verified: bool | None = None
-    failures: tuple[str, ...] = ()
 
     @property
     def total_ops(self) -> int:
@@ -50,11 +48,6 @@ def run_instance(g: Graph, input_id: str, *,
     start = time.perf_counter()
     coloring, trace = color_artemis(g, counters=counters, observer=observer)
     wall = time.perf_counter() - start
-    verified = None
-    failures: tuple[str, ...] = ()
-    if observer is not None and hasattr(observer, "failures"):
-        failures = tuple(observer.failures)
-        verified = not failures
     report = RunReport(
         input_id=input_id,
         n=g.n,
@@ -67,8 +60,6 @@ def run_instance(g: Graph, input_id: str, *,
         first_call_ops=counters.per_call[0] if counters.per_call else 0,
         chain_depths=tuple(counters.chain_depths),
         wall_time=wall,
-        verified=verified,
-        failures=failures,
     )
     return report, coloring, trace
 

@@ -16,13 +16,7 @@ from .dimacs import DimacsError, parse_dimacs, write_coloring, write_dimacs
 from .engine import ColoringError, NotArtemisError
 from .generators import generate
 from .graphs import ContractionTrace, Graph, GraphError
-from .oracles import (
-    DEFAULT_BUDGET,
-    BudgetExceeded,
-    find_antihole,
-    find_odd_hole,
-    find_prism,
-)
+from .oracles import MAX_SUBSET_N, BudgetExceeded, find_antihole, find_odd_hole, find_prism
 from .verify import OracleVerifier
 
 EXIT_OK = 0
@@ -61,11 +55,11 @@ def _cmd_color(args: argparse.Namespace) -> int:
         return EXIT_PARSE
     verifier = None
     if args.verify:
-        if g.n <= DEFAULT_BUDGET.max_n:
-            verifier = OracleVerifier(DEFAULT_BUDGET)
+        if g.n <= MAX_SUBSET_N:
+            verifier = OracleVerifier()
         else:
             print(f"note: n={g.n} exceeds the oracle budget of "
-                  f"{DEFAULT_BUDGET.max_n}; verifying properness and residue "
+                  f"{MAX_SUBSET_N}; verifying properness and residue "
                   f"consistency only", file=sys.stderr)
     try:
         report, coloring, trace = run_instance(g, args.file, observer=verifier)

@@ -74,14 +74,6 @@ class OuterPath:
     def length(self) -> int:
         return len(self.vertices) - 1
 
-    @property
-    def interior(self) -> tuple[int, ...]:
-        return self.vertices[1:-1]
-
-    @property
-    def endpoints(self) -> tuple[int, int]:
-        return self.vertices[0], self.vertices[-1]
-
 
 @dataclass(frozen=True)
 class Coloring:
@@ -204,10 +196,6 @@ class PipelineObserver:
 
     def outer_path(self, g: WorkingGraph, domain: frozenset[int], tset: frozenset[int],
                    cset: frozenset[int], path: OuterPath | None) -> None:
-        pass
-
-    def even_pair(self, g: WorkingGraph, domain: frozenset[int], tset: frozenset[int],
-                  cset: frozenset[int], path: OuterPath, pair: tuple[int, int]) -> None:
         pass
 
     def bottom_pair(self, g: WorkingGraph, domain: frozenset[int],
@@ -503,9 +491,7 @@ def find_special_even_pair(g: Graph, *, counters: OpCounters | None = None,
         path = find_outer_path(g, res.tset, res.cset, dom, counters=counters)
         observer.outer_path(g, dom, res.tset, res.cset, path)
         if path is not None:
-            pair = find_even_pair(g, res.tset, res.cset, path, dom, counters=counters)
-            observer.even_pair(g, dom, res.tset, res.cset, path, pair)
-            result = pair
+            result = find_even_pair(g, res.tset, res.cset, path, dom, counters=counters)
             break
         dom = res.cset  # strictly smaller than dom, so the descent terminates
     counters.per_call.append(counters.total() - before)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 from .graphs import Graph, GraphError, new_graph
-from .oracles import DEFAULT_BUDGET, BudgetExceeded, OracleBudget, is_artemis
+from .oracles import MAX_SUBSET_N, BudgetExceeded, is_artemis
 
 
 def _binomial(rng: random.Random, trials: int, p: float) -> int:
@@ -63,18 +63,17 @@ def random_graph(n: int, density: float, seed: int) -> Graph:
     return new_graph(n, edges)
 
 
-def filtered_random(n: int, density: float, seed: int,
-                    budget: OracleBudget = DEFAULT_BUDGET) -> Graph:
+def filtered_random(n: int, density: float, seed: int) -> Graph:
     """Random graph rejection-sampled through the exact class detectors."""
-    if n > budget.max_n:
+    if n > MAX_SUBSET_N:
         raise BudgetExceeded(
-            f"filtered-random needs the detectors, capped at {budget.max_n} vertices")
+            f"filtered-random needs the detectors, capped at {MAX_SUBSET_N} vertices")
     rng = random.Random(seed)
     while True:
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)
                  if rng.random() < density]
         g = new_graph(n, edges)
-        ok, _ = is_artemis(g, budget)
+        ok, _ = is_artemis(g)
         if ok:
             return g
 

@@ -121,11 +121,11 @@ class ContractionTrace:
     residue: tuple[frozenset[int], ...] = ()
 
     def append(self, step: ContractionStep) -> None:
+        # Two distinct ids in range need current_n >= 2, so this check alone
+        # keeps a trace within n-1 steps.
         if not (0 <= step.a < self.current_n and 0 <= step.b < self.current_n):
             raise GraphError(
                 f"step ({step.a}, {step.b}) out of range, trace is at {self.current_n}")
-        if len(self.steps) >= self.original_n - 1:
-            raise GraphError("trace cannot exceed n-1 contractions")
         self.steps.append(step)
 
     @property

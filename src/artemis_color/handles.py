@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .graphs import Graph, GraphError, common_complete, complement, components, is_clique
-from .oracles import DEFAULT_BUDGET, OracleBudget, brute_maximal_interesting_check, _require
+from .oracles import MAX_SUBSET_N, brute_maximal_interesting_check, _require
 
 
 class HandleSearchDiverged(RuntimeError):
@@ -139,19 +139,17 @@ def is_generalized_handle(g: Graph, handle: Iterable[int], cohandle: Iterable[in
     return True
 
 
-def cohandle_is_max_interesting(g: Graph, found: GeneralizedHandle,
-                                budget: OracleBudget = DEFAULT_BUDGET) -> bool:
+def cohandle_is_max_interesting(g: Graph, found: GeneralizedHandle) -> bool:
     """The co-handle of a found handle is a maximal interesting set of the
     complement; verified by the brute-force check."""
-    return brute_maximal_interesting_check(complement(g), found.cohandle, budget)
+    return brute_maximal_interesting_check(complement(g), found.cohandle)
 
 
-def interesting_gives_handle_check(g: Graph, tset: Iterable[int],
-                                   budget: OracleBudget = DEFAULT_BUDGET) -> bool:
+def interesting_gives_handle_check(g: Graph, tset: Iterable[int]) -> bool:
     """A maximal interesting set T of g yields a handle of the complement: any
     co-connected component H of the subgraph on T's complete set with at least
     two vertices is a handle there, with T as a co-handle."""
-    _require(g.n, budget.max_n, "interesting-to-handle check")
+    _require(g.n, MAX_SUBSET_N, "interesting-to-handle check")
     members = set(tset)
     cset = common_complete(g, members)
     if is_clique(g, cset):

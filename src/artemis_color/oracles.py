@@ -18,22 +18,12 @@ ODD_HOLE = "odd_hole"
 ANTIHOLE = "antihole"
 PRISM = "prism"
 
-
-@dataclass(frozen=True)
-class OracleBudget:
-    """Caps for the brute-force routines.
-
-    ``max_n`` bounds the subset-enumeration detectors, ``max_bb_n`` the
-    branch-and-bound chromatic number / clique number, and ``max_paths`` the
-    number of chordless paths enumerated before refusing.
-    """
-
-    max_n: int = 12
-    max_bb_n: int = 16
-    max_paths: int = 10**6
-
-
-DEFAULT_BUDGET = OracleBudget()
+# Input-size caps: subset enumeration runs up to MAX_SUBSET_N vertices, branch
+# and bound (clique and chromatic number) up to MAX_BB_N.  Path enumeration
+# needs no cap of its own: a chordless path is fixed by its vertex set, so
+# MAX_SUBSET_N bounds the count by 2**MAX_SUBSET_N.
+MAX_SUBSET_N = 12
+MAX_BB_N = 16
 
 
 class BudgetExceeded(RuntimeError):
@@ -113,9 +103,9 @@ def _cycle_order(masks: Sequence[int], subset: tuple[int, ...]) -> tuple[int, ..
     return tuple(order)
 
 
-def find_odd_hole(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> StructureWitness | None:
+def find_odd_hole(g: Graph) -> StructureWitness | None:
     """First chordless odd cycle of length at least five, by subset enumeration."""
-    _require(g.n, budget.max_n, "odd-hole detector")
+    _require(g.n, MAX_SUBSET_N, "odd-hole detector")
     masks = _neighbor_masks(g)
     for subset in _subsets_lex(g.n, 5):
         if len(subset) % 2 == 0:
@@ -126,11 +116,11 @@ def find_odd_hole(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> StructureW
     return None
 
 
-def find_antihole(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> StructureWitness | None:
+def find_antihole(g: Graph) -> StructureWitness | None:
     """First antihole of length at least six: a subset inducing a chordless
     cycle in the complement.  Length-five antiholes are self-complementary
     five-holes and belong to the odd-hole detector."""
-    _require(g.n, budget.max_n, "antihole detector")
+    _require(g.n, MAX_SUBSET_N, "antihole detector")
     full = (1 << g.n) - 1
     co_masks = [full & ~mask & ~(1 << v) for v, mask in enumerate(_neighbor_masks(g))]
     for subset in _subsets_lex(g.n, 6):
@@ -199,10 +189,10 @@ def _prism_check(masks: Sequence[int], subset: tuple[int, ...]) -> bool:
     return False
 
 
-def find_prism(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> StructureWitness | None:
+def find_prism(g: Graph) -> StructureWitness | None:
     """First vertex subset inducing a prism: two disjoint triangles joined by
     three vertex-disjoint paths and nothing else."""
-    _require(g.n, budget.max_n, "prism detector")
+    _require(g.n, MAX_SUBSET_N, "prism detector")
     masks = _neighbor_masks(g)
     for subset in _subsets_lex(g.n, 6):
         if _prism_check(masks, subset):
@@ -210,23 +200,21 @@ def find_prism(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> StructureWitn
     return None
 
 
-def is_artemis(g: Graph, budget: OracleBudget = DEFAULT_BUDGET,
-               ) -> tuple[bool, StructureWitness | None]:
+def is_artemis(g: Graph) -> tuple[bool, StructureWitness | None]:
     """Class membership: no odd hole, no antihole of length five or more, no
     prism.  Returns the verdict with the first witness found, if any."""
-    witness = find_odd_hole(g, budget)
+    witness = find_odd_hole(g)
     if witness is None:
-        witness = find_antihole(g, budget)
+        witness = find_antihole(g)
     if witness is None:
-        witness = find_prism(g, budget)
+        witness = find_prism(g)
     return witness is None, witness
 
 
-def enumerate_chordless_paths(g: Graph, x: int, y: int,
-                              budget: OracleBudget = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
+def enumerate_chordless_paths(g: Graph, x: int, y: int) -> list[tuple[int, ...]]:
     """All chordless paths from x to y, depth-first with the prune that a new
     vertex may only be adjacent to the current last path vertex."""
-    _require(g.n, budget.max_n, "chordless-path enumeration")
+    _require(g.n, MAX_SUBSET_N, "chordless-path enumeration")
     if x == y or not (0 <= x < g.n and 0 <= y < g.n):
         raise GraphError("chordless paths need two distinct vertices in range")
     masks = _neighbor_masks(g)
@@ -239,9 +227,6 @@ def enumerate_chordless_paths(g: Graph, x: int, y: int,
             if forbid >> w & 1:
                 continue
             if w == y:
-                if len(result) >= budget.max_paths:
-                    raise BudgetExceeded(
-                        f"more than {budget.max_paths} chordless paths")
                 result.append(tuple(path) + (y,))
                 continue
             path.append(w)
@@ -252,28 +237,26 @@ def enumerate_chordless_paths(g: Graph, x: int, y: int,
     return result
 
 
-def is_even_pair_exact(g: Graph, x: int, y: int,
-                       budget: OracleBudget = DEFAULT_BUDGET) -> bool:
+def is_even_pair_exact(g: Graph, x: int, y: int) -> bool:
     """True when every chordless path between the non-adjacent pair has even
     length; vacuously true when no path exists."""
     if g.adjacent(x, y):
         raise GraphError("even pairs are defined for non-adjacent vertices")
-    paths = enumerate_chordless_paths(g, x, y, budget)
+    paths = enumerate_chordless_paths(g, x, y)
     return all((len(p) - 1) % 2 == 0 for p in paths)
 
 
-def is_special_even_pair_exact(g: Graph, x: int, y: int,
-                               budget: OracleBudget = DEFAULT_BUDGET) -> bool:
+def is_special_even_pair_exact(g: Graph, x: int, y: int) -> bool:
     """An even pair whose contraction leaves a prism-free graph."""
-    if not is_even_pair_exact(g, x, y, budget):
+    if not is_even_pair_exact(g, x, y):
         return False
     merged, _ = contract(g, x, y)
-    return find_prism(merged, budget) is None
+    return find_prism(merged) is None
 
 
-def max_clique_exact(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
+def max_clique_exact(g: Graph) -> int:
     """Largest clique size by branch and bound over candidate bitmasks."""
-    _require(g.n, budget.max_bb_n, "max-clique search")
+    _require(g.n, MAX_BB_N, "max-clique search")
     if g.n == 0:
         return 0
     masks = _neighbor_masks(g)
@@ -295,13 +278,18 @@ def max_clique_exact(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
     return best
 
 
-def chromatic_number_exact(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
+def chromatic_number_exact(g: Graph) -> int:
     """Smallest color count admitting a proper coloring, by backtracking with
     a clique lower bound."""
-    _require(g.n, budget.max_bb_n, "chromatic-number search")
+    _require(g.n, MAX_BB_N, "chromatic-number search")
     if g.n == 0:
         return 0
-    lower = max_clique_exact(g, budget)
+    return _chromatic_from(g, max_clique_exact(g))
+
+
+def _chromatic_from(g: Graph, lower: int) -> int:
+    """Chromatic number of a nonempty g, searched upward from ``lower``, its
+    clique number."""
     order = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
     n = g.n
 
@@ -351,11 +339,10 @@ def is_interesting_set(g: Graph, tset: Iterable[int]) -> bool:
     return not is_clique(g, common_complete(g, members))
 
 
-def brute_maximal_interesting_check(g: Graph, tset: Iterable[int],
-                                    budget: OracleBudget = DEFAULT_BUDGET) -> bool:
+def brute_maximal_interesting_check(g: Graph, tset: Iterable[int]) -> bool:
     """T is interesting and no outside vertex has a non-clique neighborhood
     inside T's complete set (which would let T grow)."""
-    _require(g.n, budget.max_n, "maximal-interesting check")
+    _require(g.n, MAX_SUBSET_N, "maximal-interesting check")
     members = set(tset)
     if not is_interesting_set(g, members):
         return False
@@ -364,12 +351,12 @@ def brute_maximal_interesting_check(g: Graph, tset: Iterable[int],
     return all(is_clique(g, g.neighbor_set(u) & complete) for u in outside)
 
 
-def enumerate_outer_paths(g: Graph, tset: Iterable[int], cset: Iterable[int],
-                          budget: OracleBudget = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
+def enumerate_outer_paths(g: Graph, tset: Iterable[int],
+                          cset: Iterable[int]) -> list[tuple[int, ...]]:
     """All T-outer paths: chordless, both endpoints complete, at least one
     interior vertex, interior disjoint from T and the complete set.  Each path
     is listed once, with its smaller endpoint first."""
-    _require(g.n, budget.max_n, "outer-path enumeration")
+    _require(g.n, MAX_SUBSET_N, "outer-path enumeration")
     tset = set(tset)
     cset = set(cset)
     interior_pool = set(g.vertices) - tset - cset
@@ -385,9 +372,6 @@ def enumerate_outer_paths(g: Graph, tset: Iterable[int], cset: Iterable[int],
                     continue
                 if w in cset:
                     if w > start and len(path) >= 2:
-                        if len(result) >= budget.max_paths:
-                            raise BudgetExceeded(
-                                f"more than {budget.max_paths} outer paths")
                         result.append(tuple(path) + (w,))
                     continue
                 if w not in interior_pool:
@@ -401,8 +385,7 @@ def enumerate_outer_paths(g: Graph, tset: Iterable[int], cset: Iterable[int],
 
 
 def brute_minimal_outer_path_check(g: Graph, tset: Iterable[int], cset: Iterable[int],
-                                   path: Sequence[int] | "object",
-                                   budget: OracleBudget = DEFAULT_BUDGET) -> bool:
+                                   path: Sequence[int] | "object") -> bool:
     """The path is a T-outer path of even length at least four and no other
     T-outer path has its interior strictly inside this one's."""
     verts = tuple(getattr(path, "vertices", path))
@@ -425,7 +408,7 @@ def brute_minimal_outer_path_check(g: Graph, tset: Iterable[int], cset: Iterable
     length = len(verts) - 1
     if length % 2 != 0 or length < 4:
         return False
-    for other in enumerate_outer_paths(g, tset, cset, budget):
+    for other in enumerate_outer_paths(g, tset, cset):
         if set(other[1:-1]) < interior:
             return False
     return True
@@ -446,11 +429,11 @@ def outer_path_exists_criterion(g: Graph, tset: Iterable[int],
     return False
 
 
-def fonlupt_uhry_check(g: Graph, x: int, y: int,
-                       budget: OracleBudget = DEFAULT_BUDGET) -> bool:
+def fonlupt_uhry_check(g: Graph, x: int, y: int) -> bool:
     """Contracting an even pair changes neither the chromatic number nor the
     largest clique size; checked exactly on both sides."""
-    _require(g.n, budget.max_bb_n, "contraction invariance check")
+    _require(g.n, MAX_BB_N, "contraction invariance check")
     merged, _ = contract(g, x, y)
-    return (chromatic_number_exact(g, budget) == chromatic_number_exact(merged, budget)
-            and max_clique_exact(g, budget) == max_clique_exact(merged, budget))
+    omega, omega_merged = max_clique_exact(g), max_clique_exact(merged)
+    return (omega == omega_merged
+            and _chromatic_from(g, omega) == _chromatic_from(merged, omega_merged))

@@ -34,9 +34,8 @@ from .graphs import (
 )
 from .handles import interesting_gives_handle_check
 from .oracles import (
-    DEFAULT_BUDGET,
+    MAX_SUBSET_N,
     PRISM,
-    OracleBudget,
     brute_maximal_interesting_check,
     brute_minimal_outer_path_check,
     find_prism,
@@ -57,7 +56,6 @@ class OracleVerifier(PipelineObserver):
     oracle budget.  Messages name vertices by their ids in the input graph.
     """
 
-    budget: OracleBudget = DEFAULT_BUDGET
     checks: Counter = field(default_factory=Counter)
     failures: list[str] = field(default_factory=list)
     # The graph of the current run, its dense replica (None while the whole
@@ -89,7 +87,7 @@ class OracleVerifier(PipelineObserver):
                     result: InterestingSetResult) -> None:
         if g is not self._source:  # first hook of a new run
             self._source, self._dense = g, None
-        if len(domain) > self.budget.max_n:
+        if len(domain) > MAX_SUBSET_N:
             return
         sub, to_local = self._level(g, domain)
         if isinstance(result, DisjointCliques):
@@ -103,17 +101,17 @@ class OracleVerifier(PipelineObserver):
         tset = {to_local[v] for v in result.tset}
         cset = {to_local[v] for v in result.cset}
         self._record("interesting_maximal",
-                     brute_maximal_interesting_check(sub, tset, self.budget),
+                     brute_maximal_interesting_check(sub, tset),
                      f"set {sorted(result.tset)} is not maximal interesting in its level")
         self._record("interesting_complete", cset == common_complete(sub, tset),
                      f"complete set mismatch for {sorted(result.tset)}")
         self._record("handle_bridge_from_interesting",
-                     interesting_gives_handle_check(sub, tset, self.budget),
+                     interesting_gives_handle_check(sub, tset),
                      f"set {sorted(result.tset)} gives no handle in the complement")
 
     def outer_path(self, g: WorkingGraph, domain: frozenset[int], tset: frozenset[int],
                    cset: frozenset[int], path: OuterPath | None) -> None:
-        if len(domain) > self.budget.max_n:
+        if len(domain) > MAX_SUBSET_N:
             return
         sub, to_local = self._level(g, domain)
         t_local = {to_local[v] for v in tset}
@@ -127,17 +125,17 @@ class OracleVerifier(PipelineObserver):
         self._record("outer_parity", path.length % 2 == 0 and path.length >= 4,
                      f"outer path {path.vertices} has odd or short length {path.length}")
         self._record("outer_minimal",
-                     brute_minimal_outer_path_check(sub, t_local, c_local, local, self.budget),
+                     brute_minimal_outer_path_check(sub, t_local, c_local, local),
                      f"path {path.vertices} is not a minimal T-outer path")
 
     def bottom_pair(self, g: WorkingGraph, domain: frozenset[int],
                     result: DisjointCliques, pair: tuple[int, int]) -> None:
-        if len(domain) > self.budget.max_n:
+        if len(domain) > MAX_SUBSET_N:
             return
         sub, to_local = self._level(g, domain)
         a, b = (to_local[pair[0]], to_local[pair[1]])
         self._record("bottom_pair_special",
-                     is_special_even_pair_exact(sub, a, b, self.budget),
+                     is_special_even_pair_exact(sub, a, b),
                      f"bottom pair {pair} is not special in its level")
 
     def contracted(self, g: WorkingGraph, a: int, b: int) -> None:
@@ -148,18 +146,17 @@ class OracleVerifier(PipelineObserver):
         after, _ = contract(before, da, db)
         self._source, self._dense = g, after
         self._local = {v: i for i, v in enumerate(g.vertices)}
-        even = is_even_pair_exact(before, da, db, self.budget)
-        ok, witness = is_artemis(after, self.budget)
+        even = is_even_pair_exact(before, da, db)
+        ok, witness = is_artemis(after)
         # Special means even with a prism-free contraction; the class scan
         # already settles the prism question unless it stopped at an odd hole
         # or an antihole first.
-        special = even and (ok or (witness.kind != PRISM
-                                   and find_prism(after, self.budget) is None))
+        special = even and (ok or (witness.kind != PRISM and find_prism(after) is None))
         self._record("pair_even", even,
                      f"contracted pair ({a}, {b}) is not an even pair")
         self._record("pair_special", special,
                      f"contracted pair ({a}, {b}) is not special")
-        self._record("pair_invariance", fonlupt_uhry_check(before, da, db, self.budget),
+        self._record("pair_invariance", fonlupt_uhry_check(before, da, db),
                      f"contracting ({a}, {b}) changed the color or clique number")
         self._record("class_preserved", ok,
                      f"contracting ({a}, {b}) left the class: {witness}")

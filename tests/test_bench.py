@@ -18,13 +18,14 @@ def test_single_size_has_no_slope():
 
 def test_run_instance_report_fields():
     g = chordal(10, 0.5, 21)
-    report, coloring, trace = run_instance(g, "probe", observer=OracleVerifier())
+    verifier = OracleVerifier()
+    report, coloring, trace = run_instance(g, "probe", observer=verifier)
     assert report.n == 10 and report.m == g.m
     assert report.num_colors == coloring.num_colors
     assert report.contractions == len(trace.steps) <= 9
     assert report.total_ops == (report.interesting_ops + report.outer_ops
                                 + report.even_pair_ops) > 0
-    assert report.verified is True and not report.failures
+    assert verifier.ok and verifier.checks
     assert len(report.chain_depths) == report.contractions + 1
 
 

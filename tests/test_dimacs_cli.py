@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -105,10 +106,18 @@ def test_cli_color_parse_error(tmp_path):
 
 
 def test_cli_color_verify_over_budget_note(tmp_path, capsys):
-    big = tmp_path / "big.col"
-    big.write_text(write_dimacs(generate("chordal", 14, 0.4, 1)))
-    assert main(["color", "--verify", str(big)]) == 0
-    assert "exceeds the oracle budget" in capsys.readouterr().err
+    # The full oracle checks run up to n = 12; beyond it, only the note.
+    for n in (12, 13, 14):
+        path = tmp_path / f"chordal{n}.col"
+        path.write_text(write_dimacs(generate("chordal", n, 0.4, 1)))
+        assert main(["color", "--verify", str(path)]) == 0
+        err = capsys.readouterr().err
+        if n == 12:
+            assert re.search(r"^verify: \d+ oracle checks passed$", err, re.M)
+            assert "exceeds" not in err
+        else:
+            assert f"note: n={n} exceeds the oracle budget of 12;" in err
+            assert "oracle checks passed" not in err
 
 
 def test_cli_detect(chordal_file, capsys):

@@ -97,7 +97,7 @@ def test_find_interesting_outputs_are_maximal():
 def test_find_outer_path_c6():
     path = find_outer_path(cycle_graph(6), frozenset({1}), frozenset({0, 2}))
     assert path.vertices == (0, 5, 4, 3, 2)
-    assert path.length == 4 and path.interior == (5, 4, 3)
+    assert path.length == 4 and path.vertices[1:-1] == (5, 4, 3)
 
 
 def test_find_outer_path_p4_none():

@@ -10,7 +10,6 @@ from artemis_color import (
     PRISM,
     BudgetExceeded,
     GraphError,
-    OracleBudget,
     bipartite,
     brute_maximal_interesting_check,
     brute_minimal_outer_path_check,
@@ -97,13 +96,19 @@ def test_is_artemis():
 
 
 def test_budget_refusal():
+    # Subset enumeration is capped at 12 vertices, branch and bound at 16.
     big = path_graph(13)
     for fn in (find_odd_hole, find_antihole, find_prism):
         with pytest.raises(BudgetExceeded):
             fn(big)
-    tight = OracleBudget(max_n=6, max_bb_n=6, max_paths=1)
-    with pytest.raises(BudgetExceeded):
-        enumerate_chordless_paths(cycle_graph(6), 0, 3, tight)  # two paths exist
+        assert fn(path_graph(12)) is None
+    at_cap, over_cap = path_graph(16), path_graph(17)
+    assert max_clique_exact(at_cap) == 2 and chromatic_number_exact(at_cap) == 2
+    assert fonlupt_uhry_check(at_cap, 0, 2)
+    for check in (max_clique_exact, chromatic_number_exact,
+                  lambda g: fonlupt_uhry_check(g, 0, 2)):
+        with pytest.raises(BudgetExceeded):
+            check(over_cap)
 
 
 # --- detector completeness against an independent implementation ------------
@@ -329,3 +334,5 @@ def test_fonlupt_uhry():
     assert fonlupt_uhry_check(path_graph(4), 0, 2)
     g = new_graph(4, [(0, 1), (2, 3)])
     assert fonlupt_uhry_check(g, 0, 2)
+    # Odd pair: merging 0 and 2 of C5 closes the triangle {0, 3, 4}.
+    assert not fonlupt_uhry_check(cycle_graph(5), 0, 2)
