@@ -62,7 +62,6 @@ from .oracles import (
     brute_minimal_outer_path_check,
     chromatic_number_exact,
     enumerate_chordless_paths,
-    enumerate_outer_paths,
     find_antihole,
     find_odd_hole,
     find_prism,

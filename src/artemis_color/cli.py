@@ -14,7 +14,7 @@ from pathlib import Path
 from .bench import DEFAULT_BENCH_DENSITY, bench, run_instance
 from .dimacs import DimacsError, parse_dimacs, write_coloring, write_dimacs
 from .engine import ColoringError, NotArtemisError
-from .generators import generate
+from .generators import FAMILIES, generate
 from .graphs import ContractionTrace, Graph, GraphError
 from .oracles import MAX_SUBSET_N, BudgetExceeded, find_antihole, find_odd_hole, find_prism
 from .verify import OracleVerifier
@@ -150,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_gen = sub.add_parser("generate", help="emit a test instance as DIMACS")
     p_gen.add_argument("--family", required=True,
-                       choices=("chordal", "bipartite", "filtered-random"))
+                       choices=tuple(FAMILIES))
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--density", type=float, required=True)
     p_gen.add_argument("--seed", type=int, required=True)
@@ -158,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_bench = sub.add_parser("bench", help="operation-count scaling across sizes")
     p_bench.add_argument("--family", required=True,
-                         choices=("chordal", "bipartite", "filtered-random"))
+                         choices=tuple(FAMILIES))
     p_bench.add_argument("--sizes", required=True,
                          help="comma-separated instance sizes, e.g. 50,100,200,400")
     p_bench.add_argument("--seed", type=int, required=True)

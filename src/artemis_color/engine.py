@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import AbstractSet, Iterable, Union
 
 from .graphs import (
     ContractionStep,
@@ -210,7 +210,7 @@ class PipelineObserver:
 _SILENT = PipelineObserver()
 
 
-def _clique_probe(g: Graph, s: set[int], counters: OpCounters) -> bool:
+def _clique_probe(g: Graph, s: AbstractSet[int], counters: OpCounters) -> bool:
     """Clique test charged one probe per candidate pair examined."""
     size = len(s)
     if size <= 1:
@@ -226,21 +226,18 @@ def _clique_probe(g: Graph, s: set[int], counters: OpCounters) -> bool:
     return ok
 
 
-def find_interesting(g: Graph, domain: Iterable[int] | None = None, *,
-                     counters: OpCounters | None = None) -> InterestingSetResult:
-    """Maximal interesting set of the subgraph on ``domain``, or the clique
+def find_interesting(g: Graph, dom: AbstractSet[int],
+                     counters: OpCounters) -> InterestingSetResult:
+    """Maximal interesting set of the subgraph on ``dom``, or the clique
     partition when every vertex is simplicial.
 
-    Seed: breadth-first search from the smallest vertex whose degree falls
-    short of its component size minus one; the parent of the first vertex met
-    at distance two is non-simplicial and starts the set.  Growth: each
-    undecided vertex whose neighborhood inside the complete set is a clique is
-    shelved for good; otherwise it joins the set and the complete set shrinks
-    to its neighbors, re-opening what fell out.
+    Seed: the smallest vertex s whose degree falls short of its component
+    size minus one has a neighbor that sees past N[s]; the smallest such
+    neighbor is non-simplicial and starts the set.  Growth: each undecided
+    vertex whose neighborhood inside the complete set is a clique is shelved
+    for good; otherwise it joins the set and the complete set shrinks to its
+    neighbors, re-opening what fell out.  ``dom`` is only read.
     """
-    counters = counters if counters is not None else OpCounters()
-    dom = set(g.vertices) if domain is None else set(domain)
-
     parts = components(g, dom)
     counters.interesting += len(dom) + sum(len(p) for p in parts)
     comp_size = {}
@@ -258,30 +255,22 @@ def find_interesting(g: Graph, domain: Iterable[int] | None = None, *,
     if start is None:
         return DisjointCliques(tuple(frozenset(p) for p in parts))
 
-    # Parent of the first vertex dequeued at distance two: it sees both the
-    # start vertex and that vertex, which are non-adjacent, so it is
-    # non-simplicial.
-    dist = {start: 0}
-    parent: dict[int, int] = {}
-    queue = deque([start])
+    # A neighbor of start that sees past N[start] sees two non-adjacent
+    # vertices, so it is non-simplicial.
+    counters.interesting += g.degree(start)
+    beyond = dom - g.neighbor_set(start) - {start}
     seed = None
-    while queue and seed is None:
-        u = queue.popleft()
-        counters.interesting += g.degree(u)
-        for w in g.neighbors(u):
-            if w not in dom or w in dist:
-                continue
-            dist[w] = dist[u] + 1
-            parent[w] = u
-            if dist[w] == 2:
-                seed = parent[w]
+    for u in g.neighbors(start):
+        if u in dom:
+            counters.interesting += g.degree(u)
+            if not g.neighbor_set(u).isdisjoint(beyond):
+                seed = u
                 break
-            queue.append(w)
     assert seed is not None
 
     tset = {seed}
-    cset = set(g.neighbor_set(seed) & dom)
-    undecided = dom - tset - cset
+    cset = g.neighbor_set(seed) & dom
+    undecided = set(dom - tset - cset)
     while undecided:
         u = min(undecided)
         undecided.discard(u)
@@ -297,9 +286,8 @@ def find_interesting(g: Graph, domain: Iterable[int] | None = None, *,
     return MaximalInteresting(frozenset(tset), frozenset(cset))
 
 
-def find_outer_path(g: Graph, tset: Iterable[int], cset: Iterable[int],
-                    domain: Iterable[int] | None = None, *,
-                    counters: OpCounters | None = None) -> OuterPath | None:
+def find_outer_path(g: Graph, dom: AbstractSet[int], tset: AbstractSet[int],
+                    cset: AbstractSet[int], counters: OpCounters) -> OuterPath | None:
     """Minimal T-outer path for a maximal interesting set, or None.
 
     One search per component of the vertices outside T and its complete set:
@@ -307,14 +295,11 @@ def find_outer_path(g: Graph, tset: Iterable[int], cset: Iterable[int],
     leaves.  The met set stays a clique (counter-checked) until some vertex x
     breaks it; a second search from x inside the vertices seen so far, with
     x's met neighbors removed, runs to the first met vertex not adjacent to x.
-    The search path between them is the answer.
+    The search path between them is the answer.  The level's sets are only
+    read.
     """
-    counters = counters if counters is not None else OpCounters()
-    dom = set(g.vertices) if domain is None else set(domain)
-    tset = set(tset)
-    cset = set(cset)
     searchable = dom - tset
-    unmarked = dom - tset - cset
+    unmarked = set(dom - tset - cset)
     while unmarked:
         root = min(unmarked)
         found = _component_search(g, root, searchable, cset, unmarked, counters)
@@ -323,13 +308,12 @@ def find_outer_path(g: Graph, tset: Iterable[int], cset: Iterable[int],
     return None
 
 
-def _component_search(g: Graph, root: int, searchable: set[int], cset: set[int],
-                      unmarked: set[int], counters: OpCounters) -> OuterPath | None:
+def _component_search(g: Graph, root: int, searchable: AbstractSet[int],
+                      cset: AbstractSet[int], unmarked: set[int],
+                      counters: OpCounters) -> OuterPath | None:
     seen = {root}
-    parent: dict[int, int | None] = {root: None}
     unmarked.discard(root)
-    met: list[int] = []        # complete vertices in discovery order
-    met_set: set[int] = set()
+    met: set[int] = set()      # complete vertices met so far
     met_count: dict[int, int] = {}  # complete vertex -> neighbors already met
     queue = deque([root])
     while queue:
@@ -339,29 +323,27 @@ def _component_search(g: Graph, root: int, searchable: set[int], cset: set[int],
             if w not in searchable or w in seen:
                 continue
             seen.add(w)
-            parent[w] = u
             if w in cset:
                 if met_count.get(w, 0) != len(met):
                     # w misses someone already met: the met set just stopped
                     # being a clique, and a path between the two sides exists.
-                    return _dig_out_path(g, w, met, met_set, seen, cset, counters)
+                    return _dig_out_path(g, w, met, seen, cset, counters)
                 counters.outer += g.degree(w)
                 for z in g.neighbors(w):
                     if z in cset:
                         met_count[z] = met_count.get(z, 0) + 1
-                met.append(w)
-                met_set.add(w)
+                met.add(w)
             else:
                 unmarked.discard(w)
                 queue.append(w)
     return None
 
 
-def _dig_out_path(g: Graph, x: int, met: list[int], met_set: set[int],
-                  seen: set[int], cset: set[int], counters: OpCounters) -> OuterPath:
-    met_x = {z for z in met if g.adjacent(x, z)}
+def _dig_out_path(g: Graph, x: int, met: set[int], seen: set[int],
+                  cset: AbstractSet[int], counters: OpCounters) -> OuterPath:
+    met_x = met & g.neighbor_set(x)
     counters.outer += len(met)
-    targets = met_set - met_x
+    targets = met - met_x
     allowed = seen - met_x
     parent: dict[int, int | None] = {x: None}
     inner_seen = {x}
@@ -386,22 +368,18 @@ def _dig_out_path(g: Graph, x: int, met: list[int], met_set: set[int],
         "outer-path endpoint became unreachable; the input violates the class guarantees")
 
 
-def find_even_pair(g: Graph, tset: Iterable[int], cset: Iterable[int],
-                   path: OuterPath | Sequence[int],
-                   domain: Iterable[int] | None = None, *,
-                   counters: OpCounters | None = None) -> tuple[int, int]:
+def find_even_pair(g: Graph, dom: AbstractSet[int], tset: AbstractSet[int],
+                   cset: AbstractSet[int], path: OuterPath,
+                   counters: OpCounters) -> tuple[int, int]:
     """Special even pair extracted from a minimal T-outer path.
 
     With the path written x-v-...-w-y, A holds the complete vertices seeing v
     but not y, and B those seeing w but not x.  A vertex of A adjacent to all
     of N(A) reachable from B (avoiding T and A), paired with the symmetric
-    choice in B, is a special even pair.  Ties go to the smallest id.
+    choice in B, is a special even pair.  Ties go to the smallest id.  The
+    level's sets are only read.
     """
-    counters = counters if counters is not None else OpCounters()
-    verts = path.vertices if isinstance(path, OuterPath) else tuple(path)
-    dom = set(g.vertices) if domain is None else set(domain)
-    tset = set(tset)
-    cset = set(cset)
+    verts = path.vertices
     x, v, w, y = verts[0], verts[1], verts[-2], verts[-1]
     counters.even_pair += g.degree(v) + g.degree(y) + g.degree(w) + g.degree(x)
     aside = (g.neighbor_set(v) & cset) - g.neighbor_set(y)
@@ -421,11 +399,12 @@ def find_even_pair(g: Graph, tset: Iterable[int], cset: Iterable[int],
     return a, b
 
 
-def _reached_boundary(g: Graph, dom: set[int], tset: set[int], aside: set[int],
-                      bside: set[int], counters: OpCounters) -> set[int]:
+def _reached_boundary(g: Graph, dom: AbstractSet[int], tset: AbstractSet[int],
+                      aside: AbstractSet[int], bside: AbstractSet[int],
+                      counters: OpCounters) -> set[int]:
     """Vertices of N(A) reached by a search from B avoiding T and A."""
     boundary: set[int] = set()
-    for a in sorted(aside):
+    for a in aside:
         counters.even_pair += g.degree(a)
         boundary |= g.neighbor_set(a)
     boundary &= dom
@@ -439,7 +418,7 @@ def _reached_boundary(g: Graph, dom: set[int], tset: set[int], aside: set[int],
     return forest.reached_targets
 
 
-def _sees_all(g: Graph, side: set[int], reached: set[int],
+def _sees_all(g: Graph, side: AbstractSet[int], reached: set[int],
               counters: OpCounters) -> int | None:
     need = len(reached)
     hits = {v: 0 for v in side}
@@ -476,7 +455,7 @@ def find_special_even_pair(g: Graph, *, counters: OpCounters | None = None,
     result: tuple[int, int] | DisjointCliques
     while True:
         depth += 1
-        res = find_interesting(g, dom, counters=counters)
+        res = find_interesting(g, dom, counters)
         observer.interesting(g, dom, res)
         if isinstance(res, DisjointCliques):
             if depth == 1:
@@ -488,10 +467,10 @@ def find_special_even_pair(g: Graph, *, counters: OpCounters | None = None,
             observer.bottom_pair(g, dom, res, pair)
             result = pair
             break
-        path = find_outer_path(g, res.tset, res.cset, dom, counters=counters)
+        path = find_outer_path(g, dom, res.tset, res.cset, counters)
         observer.outer_path(g, dom, res.tset, res.cset, path)
         if path is not None:
-            result = find_even_pair(g, res.tset, res.cset, path, dom, counters=counters)
+            result = find_even_pair(g, dom, res.tset, res.cset, path, counters)
             break
         dom = res.cset  # strictly smaller than dom, so the descent terminates
     counters.per_call.append(counters.total() - before)

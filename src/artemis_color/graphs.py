@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator
 
 
 class GraphError(ValueError):
@@ -238,18 +238,18 @@ def components(g: Graph, s: Iterable[int] | None = None) -> list[set[int]]:
     return parts
 
 
-def bfs_from_to(g: Graph, domain: Iterable[int], sources: Iterable[int],
+def bfs_from_to(g: Graph, dom: AbstractSet[int], sources: Iterable[int],
                 targets: Iterable[int]) -> SearchForest:
     """Breadth-first search started from all of ``sources`` at once, restricted
-    to ``domain``, where ``targets`` may be discovered but are never expanded.
+    to ``dom``, where ``targets`` may be discovered but are never expanded.
 
     ``reached_targets`` collects the targets adjacent to some expanded vertex.
-    The queue is FIFO; every scan is in ascending vertex order.
+    The queue is FIFO; every scan is in ascending vertex order.  ``dom`` is
+    only read.
     """
-    dom = set(domain)
     src = sorted(set(sources))
     tgt = set(targets)
-    if not dom.issuperset(src) or not dom.issuperset(tgt):
+    if not tgt.union(src) <= dom:
         raise GraphError("sources and targets must lie inside the search domain")
     if tgt.intersection(src):
         raise GraphError("sources and targets must be disjoint")

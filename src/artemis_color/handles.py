@@ -119,7 +119,7 @@ def find_generalized_handle(g: Graph, *, max_iterations: int | None = None,
 
 
 def is_generalized_handle(g: Graph, handle: Iterable[int], cohandle: Iterable[int]) -> bool:
-    """Definition check used by the property tests."""
+    """Definition check used by the property tests and the interesting-set route."""
     hset = set(handle)
     jset = set(cohandle)
     if not jset or hset & jset:
@@ -157,17 +157,4 @@ def interesting_gives_handle_check(g: Graph, tset: Iterable[int]) -> bool:
     gc = complement(g)
     big = [comp for comp in components(gc, cset) if len(comp) >= 2]
     assert big, "a non-clique set always has a co-connected part with an edge"
-    hset = big[0]
-    boundary = _neighborhood(gc, hset)
-    if members not in components(gc, set(gc.vertices) - boundary):
-        return False
-    if _neighborhood(gc, members) != boundary:
-        return False
-    inner = _inner_edges(gc, hset)
-    if not inner:
-        return False
-    for v in boundary:
-        for a, b in inner:
-            if not gc.adjacent(v, a) and not gc.adjacent(v, b):
-                return False
-    return True
+    return is_generalized_handle(gc, big[0], members)

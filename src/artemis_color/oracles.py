@@ -385,10 +385,9 @@ def enumerate_outer_paths(g: Graph, tset: Iterable[int],
 
 
 def brute_minimal_outer_path_check(g: Graph, tset: Iterable[int], cset: Iterable[int],
-                                   path: Sequence[int] | "object") -> bool:
-    """The path is a T-outer path of even length at least four and no other
-    T-outer path has its interior strictly inside this one's."""
-    verts = tuple(getattr(path, "vertices", path))
+                                   verts: Sequence[int]) -> bool:
+    """The path ``verts`` is a T-outer path of even length at least four and no
+    other T-outer path has its interior strictly inside this one's."""
     tset = set(tset)
     cset = set(cset)
     if len(verts) < 3 or len(set(verts)) != len(verts):

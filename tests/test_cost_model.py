@@ -1,0 +1,64 @@
+"""The pair search's cost model, pinned to known values.
+
+``OpCounters`` charges one unit per neighbor-scan step or adjacency probe.
+The charges are the algorithm's cost model, so a refactor of the finders must
+leave every field, and the contractions they lead to, exactly as they are.
+The in-place and immutable drivers share the finders, so comparing them
+cannot catch a changed charge; these fixed values can.
+"""
+
+import pytest
+
+from artemis_color import OpCounters, bipartite, chordal, color_artemis, filtered_random
+
+PINNED = [
+    dict(
+        graph=(chordal, (60, 0.5, 7)),
+        interesting=75970, outer=39403, even_pair=0,
+        per_call=[10218, 8156, 9436, 6977, 6979, 5331, 5470, 5303, 7862, 7223, 2849,
+                  7611, 3842, 5751, 4198, 5484, 2008, 1179, 1170, 2258, 1030, 2061, 393,
+                  510, 611, 363, 353, 225, 219, 213, 90],
+        chain_depths=[16, 8, 11, 7, 8, 4, 5, 4, 18, 16, 2, 14, 3, 12, 7, 14, 4, 3, 3, 6,
+                      4, 5, 3, 4, 5, 3, 3, 2, 2, 2, 1],
+        steps=[(0, 30), (0, 30), (0, 40), (1, 47), (3, 48), (0, 30), (1, 35), (0, 36),
+               (1, 30), (1, 31), (0, 41), (0, 36), (0, 42), (1, 31), (1, 33), (2, 39),
+               (1, 30), (1, 30), (1, 31), (2, 33), (2, 38), (30, 36), (2, 30), (3, 33),
+               (4, 33), (2, 30), (2, 30), (1, 30), (1, 30), (1, 30)],
+    ),
+    dict(
+        graph=(bipartite, (80, 0.1, 3)),
+        interesting=18074, outer=24990, even_pair=6829,
+        per_call=[1315, 1325, 938, 1243, 1094, 1219, 751, 1031, 1118, 992, 949, 1072,
+                  959, 1055, 843, 1154, 1182, 1210, 1275, 1257, 1236, 1343, 1471, 604,
+                  1743, 1820, 1939, 2019, 2016, 2184, 2227, 2311, 287, 281, 275, 269,
+                  263, 257, 251, 245, 239, 233, 227, 221, 215, 209, 203, 197, 191, 185,
+                  179, 173, 167, 161, 155, 149, 143, 137, 131, 125, 119, 113, 107, 101,
+                  95, 89, 83, 77, 71, 65, 59, 53, 47, 41, 35, 29, 23, 17, 6],
+        chain_depths=[1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 2, 1, 2, 2, 2, 2, 2, 2, 2,
+                      2, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2,
+                      2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2,
+                      2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1],
+        steps=[(38, 43), (0, 38), (24, 0), (21, 0), (30, 0), (70, 0), (0, 13), (5, 0),
+               (71, 0), (13, 0), (57, 0), (61, 53), (53, 0), (0, 28), (36, 0), (0, 63),
+               (0, 31), (0, 5), (0, 57), (0, 54), (0, 55), (0, 34), (0, 19), (0, 28),
+               (0, 2), (0, 39), (0, 28), (0, 6), (0, 44), (0, 18), (0, 5), (0, 6)]
+              + [(1, 2)] * 46,
+    ),
+    dict(
+        graph=(filtered_random, (12, 0.5, 4)),
+        interesting=883, outer=235, even_pair=0,
+        per_call=[243, 255, 214, 163, 123, 102, 18],
+        chain_depths=[3, 4, 3, 6, 5, 5, 1],
+        steps=[(2, 6), (3, 7), (0, 5), (6, 8), (1, 4), (1, 4)],
+    ),
+]
+
+
+@pytest.mark.parametrize("case", PINNED, ids=lambda case: case["graph"][0].__name__)
+def test_cost_model_is_pinned(case):
+    maker, args = case["graph"]
+    counters = OpCounters()
+    _, trace = color_artemis(maker(*args), counters=counters)
+    assert counters == OpCounters(case["interesting"], case["outer"], case["even_pair"],
+                                  case["per_call"], case["chain_depths"])
+    assert [(step.a, step.b) for step in trace.steps] == case["steps"]

@@ -8,6 +8,7 @@ from artemis_color import (
     MaximalInteresting,
     OpCounters,
     OracleVerifier,
+    OuterPath,
     bipartite,
     brute_maximal_interesting_check,
     brute_minimal_outer_path_check,
@@ -35,6 +36,11 @@ from artemis_color import (
 from conftest import complete_graph, cycle_graph, k3_plus_k2, path_graph
 
 
+def top(g):
+    """The whole vertex set: the domain of a pair search's top level."""
+    return frozenset(g.vertices)
+
+
 def artemis_samples(count_per_size, sizes=range(4, 11)):
     makers = (chordal, bipartite, filtered_random)
     for n in sizes:
@@ -46,24 +52,28 @@ def artemis_samples(count_per_size, sizes=range(4, 11)):
 # --- find_interesting -------------------------------------------------------
 
 def test_find_interesting_disjoint_cliques():
-    res = find_interesting(k3_plus_k2())
+    g = k3_plus_k2()
+    res = find_interesting(g, top(g), OpCounters())
     assert res == DisjointCliques((frozenset({0, 1, 2}), frozenset({3, 4})))
 
 
 def test_find_interesting_p4():
-    res = find_interesting(path_graph(4))
+    g = path_graph(4)
+    res = find_interesting(g, top(g), OpCounters())
     assert res == MaximalInteresting(frozenset({1}), frozenset({0, 2}))
 
 
 def test_find_interesting_c6():
-    res = find_interesting(cycle_graph(6))
+    g = cycle_graph(6)
+    res = find_interesting(g, top(g), OpCounters())
     assert res == MaximalInteresting(frozenset({1}), frozenset({0, 2}))
 
 
 def test_find_interesting_c4_grows_past_first_seed():
-    res = find_interesting(cycle_graph(4))
+    g = cycle_graph(4)
+    res = find_interesting(g, top(g), OpCounters())
     assert res == MaximalInteresting(frozenset({1, 3}), frozenset({0, 2}))
-    assert brute_maximal_interesting_check(cycle_graph(4), {1, 3})
+    assert brute_maximal_interesting_check(g, {1, 3})
 
 
 def _all_interesting_supersets(g, tset):
@@ -81,7 +91,7 @@ def _all_interesting_supersets(g, tset):
 
 def test_find_interesting_outputs_are_maximal():
     for g in artemis_samples(6, sizes=range(4, 9)):
-        res = find_interesting(g)
+        res = find_interesting(g, top(g), OpCounters())
         if isinstance(res, DisjointCliques):
             assert all(is_clique(g, part) for part in res.cliques)
             continue
@@ -95,20 +105,22 @@ def test_find_interesting_outputs_are_maximal():
 # --- find_outer_path --------------------------------------------------------
 
 def test_find_outer_path_c6():
-    path = find_outer_path(cycle_graph(6), frozenset({1}), frozenset({0, 2}))
+    g = cycle_graph(6)
+    path = find_outer_path(g, top(g), frozenset({1}), frozenset({0, 2}), OpCounters())
     assert path.vertices == (0, 5, 4, 3, 2)
     assert path.length == 4 and path.vertices[1:-1] == (5, 4, 3)
 
 
 def test_find_outer_path_p4_none():
-    assert find_outer_path(path_graph(4), frozenset({1}), frozenset({0, 2})) is None
-    assert not outer_path_exists_criterion(path_graph(4), {1}, {0, 2})
+    g = path_graph(4)
+    assert find_outer_path(g, top(g), frozenset({1}), frozenset({0, 2}), OpCounters()) is None
+    assert not outer_path_exists_criterion(g, {1}, {0, 2})
 
 
 def test_find_outer_path_c4_after_find_interesting():
     g = cycle_graph(4)
-    res = find_interesting(g)
-    assert find_outer_path(g, res.tset, res.cset) is None
+    res = find_interesting(g, top(g), OpCounters())
+    assert find_outer_path(g, top(g), res.tset, res.cset, OpCounters()) is None
 
 
 def test_find_outer_path_skips_clique_boundary_component():
@@ -118,54 +130,64 @@ def test_find_outer_path_skips_clique_boundary_component():
     from artemis_color import new_graph
 
     g = new_graph(7, [(0, 1), (1, 2), (2, 3), (2, 4), (4, 5), (5, 6), (6, 0)])
-    res = find_interesting(g)
+    res = find_interesting(g, top(g), OpCounters())
     assert res == MaximalInteresting(frozenset({1}), frozenset({0, 2}))
-    path = find_outer_path(g, res.tset, res.cset)
+    path = find_outer_path(g, top(g), res.tset, res.cset, OpCounters())
     assert path.vertices == (0, 6, 5, 4, 2)
-    assert brute_minimal_outer_path_check(g, res.tset, res.cset, path)
-    assert find_even_pair(g, res.tset, res.cset, path) == (0, 2)
+    assert brute_minimal_outer_path_check(g, res.tset, res.cset, path.vertices)
+    assert find_even_pair(g, top(g), res.tset, res.cset, path, OpCounters()) == (0, 2)
     assert is_even_pair_exact(g, 0, 2)
 
 
 def test_outer_paths_verify_against_brute_force():
+    # Every finder gets plain mutable copies of the level's sets, which must
+    # come back unchanged: the finders only read what they are lent.
     for g in artemis_samples(6, sizes=range(4, 10)):
-        res = find_interesting(g)
+        counters = OpCounters()
+        dom = set(g.vertices)
+        res = find_interesting(g, dom, counters)
+        assert dom == set(g.vertices)
         if isinstance(res, DisjointCliques):
             continue
-        path = find_outer_path(g, res.tset, res.cset)
+        tset, cset = set(res.tset), set(res.cset)
+        path = find_outer_path(g, dom, tset, cset, counters)
+        assert (dom, tset, cset) == (set(g.vertices), res.tset, res.cset)
         if path is None:
             assert not outer_path_exists_criterion(g, res.tset, res.cset)
             continue
         assert path.length % 2 == 0 and path.length >= 4
-        assert brute_minimal_outer_path_check(g, res.tset, res.cset, path)
+        assert brute_minimal_outer_path_check(g, res.tset, res.cset, path.vertices)
+        pair = find_even_pair(g, dom, tset, cset, path, counters)
+        assert (dom, tset, cset) == (set(g.vertices), res.tset, res.cset)
+        assert is_even_pair_exact(g, *pair)
 
 
 # --- find_even_pair ---------------------------------------------------------
 
 def test_find_even_pair_c6():
     g = cycle_graph(6)
-    pair = find_even_pair(g, frozenset({1}), frozenset({0, 2}),
-                          (0, 5, 4, 3, 2))
+    pair = find_even_pair(g, top(g), frozenset({1}), frozenset({0, 2}),
+                          OuterPath((0, 5, 4, 3, 2)), OpCounters())
     assert pair == (0, 2)
     assert is_even_pair_exact(g, 0, 2)
 
 
 def test_find_even_pair_c8():
     g = cycle_graph(8)
-    res = find_interesting(g)
-    path = find_outer_path(g, res.tset, res.cset)
+    res = find_interesting(g, top(g), OpCounters())
+    path = find_outer_path(g, top(g), res.tset, res.cset, OpCounters())
     assert path.vertices == (0, 7, 6, 5, 4, 3, 2)
-    assert find_even_pair(g, res.tset, res.cset, path) == (0, 2)
+    assert find_even_pair(g, top(g), res.tset, res.cset, path, OpCounters()) == (0, 2)
     assert is_even_pair_exact(g, 0, 2)
 
 
 def test_outer_path_endpoints_land_in_their_classes():
     # x always qualifies for the first endpoint class and y for the second.
     for g in artemis_samples(6, sizes=range(5, 11)):
-        res = find_interesting(g)
+        res = find_interesting(g, top(g), OpCounters())
         if isinstance(res, DisjointCliques):
             continue
-        path = find_outer_path(g, res.tset, res.cset)
+        path = find_outer_path(g, top(g), res.tset, res.cset, OpCounters())
         if path is None:
             continue
         x, v, w, y = path.vertices[0], path.vertices[1], path.vertices[-2], path.vertices[-1]

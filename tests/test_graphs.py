@@ -193,7 +193,7 @@ def test_bfs_from_to_empty_targets_is_plain_bfs():
     from conftest import k3_plus_k2
 
     g = k3_plus_k2()
-    forest = bfs_from_to(g, g.vertices, {0}, set())
+    forest = bfs_from_to(g, set(g.vertices), {0}, set())
     assert set(forest.order) == {0, 1, 2}
 
 

@@ -15,6 +15,7 @@ from artemis_color import (
     is_generalized_handle,
     is_interesting_set,
     new_graph,
+    OpCounters,
     random_graph,
 )
 
@@ -87,7 +88,7 @@ def test_interesting_gives_handle_on_samples():
     for _ in range(120):
         g = random_graph(rng.randrange(4, 11), rng.choice((0.25, 0.4, 0.55)),
                          rng.randrange(10**6))
-        res = find_interesting(g)
+        res = find_interesting(g, frozenset(g.vertices), OpCounters())
         if isinstance(res, DisjointCliques):
             continue
         hits += 1
