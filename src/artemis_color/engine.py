@@ -17,6 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import AbstractSet, Iterable, Union
 
 from .graphs import (
@@ -95,8 +96,11 @@ class OpCounters:
     """Basic-operation tallies per pipeline phase.
 
     One unit is one neighbor-scan step or one pairwise adjacency probe, the
-    cost model under which the pipeline is an O(n^2 m) algorithm.  ``per_call``
-    and ``chain_depths`` get one entry per special-even-pair search.
+    cost model under which the pipeline is an O(n^2 m) algorithm.  The charges
+    count the algorithm's scans even where a C-level set operation does the
+    work, so the counts, and the slopes fitted to them, do not depend on how
+    a finder is written.  ``per_call`` and ``chain_depths`` get one entry per
+    special-even-pair search.
     """
 
     interesting: int = 0
@@ -270,10 +274,12 @@ def find_interesting(g: Graph, dom: AbstractSet[int],
 
     tset = {seed}
     cset = g.neighbor_set(seed) & dom
-    undecided = set(dom - tset - cset)
+    # The undecided vertices as a min-heap.  It stays disjoint from tset and
+    # cset, so a vertex enters it once: at the start or when cset drops it.
+    undecided = list(dom - tset - cset)
+    heapify(undecided)
     while undecided:
-        u = min(undecided)
-        undecided.discard(u)
+        u = heappop(undecided)
         cap = g.neighbor_set(u) & cset
         counters.interesting += g.degree(u)
         if _clique_probe(g, cap, counters):
@@ -281,7 +287,8 @@ def find_interesting(g: Graph, dom: AbstractSet[int],
         tset.add(u)
         dropped = cset - g.neighbor_set(u)
         cset &= g.neighbor_set(u)
-        undecided |= dropped
+        for w in dropped:
+            heappush(undecided, w)
         counters.interesting += len(dropped)
     return MaximalInteresting(frozenset(tset), frozenset(cset))
 
@@ -292,7 +299,7 @@ def find_outer_path(g: Graph, dom: AbstractSet[int], tset: AbstractSet[int],
 
     One search per component of the vertices outside T and its complete set:
     a breadth-first search that collects the complete vertices it meets as
-    leaves.  The met set stays a clique (counter-checked) until some vertex x
+    leaves.  The met set stays a clique (subset-checked) until some vertex x
     breaks it; a second search from x inside the vertices seen so far, with
     x's met neighbors removed, runs to the first met vertex not adjacent to x.
     The search path between them is the answer.  The level's sets are only
@@ -300,8 +307,9 @@ def find_outer_path(g: Graph, dom: AbstractSet[int], tset: AbstractSet[int],
     """
     searchable = dom - tset
     unmarked = set(dom - tset - cset)
-    while unmarked:
-        root = min(unmarked)
+    for root in sorted(unmarked):
+        if root not in unmarked:
+            continue  # absorbed by an earlier component's search
         found = _component_search(g, root, searchable, cset, unmarked, counters)
         if found is not None:
             return found
@@ -314,24 +322,22 @@ def _component_search(g: Graph, root: int, searchable: AbstractSet[int],
     seen = {root}
     unmarked.discard(root)
     met: set[int] = set()      # complete vertices met so far
-    met_count: dict[int, int] = {}  # complete vertex -> neighbors already met
     queue = deque([root])
     while queue:
         u = queue.popleft()
         counters.outer += g.degree(u)
-        for w in g.neighbors(u):
-            if w not in searchable or w in seen:
-                continue
+        fresh = g.neighbor_set(u) & searchable
+        fresh -= seen
+        # Ascending order: the first met vertex that breaks the clique decides
+        # which path is dug out, from the vertices seen up to it.
+        for w in sorted(fresh):
             seen.add(w)
             if w in cset:
-                if met_count.get(w, 0) != len(met):
+                if not met <= g.neighbor_set(w):
                     # w misses someone already met: the met set just stopped
                     # being a clique, and a path between the two sides exists.
                     return _dig_out_path(g, w, met, seen, cset, counters)
                 counters.outer += g.degree(w)
-                for z in g.neighbors(w):
-                    if z in cset:
-                        met_count[z] = met_count.get(z, 0) + 1
                 met.add(w)
             else:
                 unmarked.discard(w)

@@ -218,7 +218,11 @@ def is_clique(g: Graph, s: Iterable[int]) -> bool:
 
 
 def components(g: Graph, s: Iterable[int] | None = None) -> list[set[int]]:
-    """Connected components of the subgraph induced on s, ordered by smallest member."""
+    """Connected components of the subgraph induced on s, ordered by smallest member.
+
+    Each part is expanded by set intersection in no particular order; only the
+    parts and their order are returned, so the scan order cannot show.
+    """
     remaining = set(g.vertices) if s is None else set(s)
     parts = []
     for seed in sorted(remaining):
@@ -228,12 +232,10 @@ def components(g: Graph, s: Iterable[int] | None = None) -> list[set[int]]:
         stack = [seed]
         remaining.discard(seed)
         while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if w in remaining:
-                    remaining.discard(w)
-                    comp.add(w)
-                    stack.append(w)
+            fresh = g.neighbor_set(stack.pop()) & remaining
+            remaining -= fresh
+            comp |= fresh
+            stack.extend(fresh)
         parts.append(comp)
     return parts
 

@@ -3,6 +3,8 @@
 ``OpCounters`` charges one unit per neighbor-scan step or adjacency probe.
 The charges are the algorithm's cost model, so a refactor of the finders must
 leave every field, and the contractions they lead to, exactly as they are.
+They count the algorithm's scans even where C-level set operations do the
+work: identical counts, and so identical criterion 7 slopes, are the contract.
 The in-place and immutable drivers share the finders, so comparing them
 cannot catch a changed charge; these fixed values can.
 """

@@ -182,6 +182,24 @@ def test_components_cover_the_set():
         assert set().union(*parts) == s if parts else not s
 
 
+def test_components_match_networkx():
+    import random
+
+    import networkx as nx
+
+    from artemis_color import random_graph
+
+    rng = random.Random(11)
+    for n in range(1, 31):
+        for density in (0.05, 0.15, 0.5):
+            g = random_graph(n, density, rng.randrange(10**6))
+            h = nx.Graph(list(g.edges()))
+            h.add_nodes_from(g.vertices)
+            for s in (set(), set(range(n)), set(rng.sample(range(n), rng.randrange(n + 1)))):
+                expected = sorted(nx.connected_components(h.subgraph(s)), key=min)
+                assert components(g, s) == expected
+
+
 def test_bfs_from_to_c6():
     g = cycle_graph(6)
     forest = bfs_from_to(g, set(range(6)) - {1}, {3}, {0, 2})
