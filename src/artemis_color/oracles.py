@@ -4,6 +4,12 @@ These are the trusted side of the dual-route checks: subset enumeration and
 branch-and-bound at desk scale, used to validate the fast pipeline instance by
 instance.  Each entry point refuses inputs beyond its budget instead of
 silently running forever.
+
+The three structure detectors enumerate vertex subsets, skipping every prefix
+in which some vertex already exceeds the structure's degree limit: 2 for odd
+holes, 2 in the complement for antiholes, 3 for prisms.  Induced degrees only
+grow as a subset is extended, so the walk stays exhaustive and the first
+witness is the one a walk over all subsets would find.
 """
 
 from __future__ import annotations
@@ -67,20 +73,44 @@ def _neighbor_masks(g: Graph) -> list[int]:
     return [mask_of(g.neighbors(v)) for v in g.vertices]
 
 
-def _subsets_lex(n: int, min_size: int) -> Iterator[tuple[int, ...]]:
-    """All subsets of 0..n-1 with at least min_size elements, in lexicographic
-    order of their sorted tuples (a prefix precedes its extensions)."""
+def _subsets_lex(n: int, min_size: int, masks: Sequence[int],
+                 cap: int) -> Iterator[tuple[int, ...]]:
+    """Subsets of 0..n-1 with at least min_size elements whose induced degrees
+    under masks are at most cap (2 or 3), in lexicographic order of their
+    sorted tuples (a prefix precedes its extensions).
+
+    Adding a vertex never lowers a member's induced degree, so a prefix with
+    a vertex above cap is skipped together with all its extensions; every
+    other subset is yielded, in the same order as by a walk without the skip.
+    """
     prefix: list[int] = []
-
-    def walk(start: int) -> Iterator[tuple[int, ...]]:
-        for v in range(start, n):
-            prefix.append(v)
-            if len(prefix) >= min_size:
-                yield tuple(prefix)
-            yield from walk(v + 1)
-            prefix.pop()
-
-    yield from walk(0)
+    # The prefix's members and, bit-sliced, its members of induced degree at
+    # least 1, 2 and 3; the same for every shorter prefix on the stack.
+    inside = d1 = d2 = d3 = 0
+    stack: list[tuple[int, int, int, int]] = []
+    v = 0
+    while True:
+        if v == n:
+            if not prefix:
+                return
+            v = prefix.pop() + 1
+            inside, d1, d2, d3 = stack.pop()
+            continue
+        nb = masks[v] & inside
+        k = nb.bit_count()
+        if k > cap or nb & (d2 if cap == 2 else d3):
+            v += 1
+            continue
+        stack.append((inside, d1, d2, d3))
+        bit = 1 << v
+        inside |= bit
+        d3 |= d2 & nb | (bit if k > 2 else 0)
+        d2 |= d1 & nb | (bit if k > 1 else 0)
+        d1 |= nb | (bit if k else 0)
+        prefix.append(v)
+        if len(prefix) >= min_size:
+            yield tuple(prefix)
+        v += 1
 
 
 def _cycle_order(masks: Sequence[int], subset: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -104,10 +134,14 @@ def _cycle_order(masks: Sequence[int], subset: tuple[int, ...]) -> tuple[int, ..
 
 
 def find_odd_hole(g: Graph) -> StructureWitness | None:
-    """First chordless odd cycle of length at least five, by subset enumeration."""
+    """First chordless odd cycle of length at least five, by subset enumeration.
+
+    Prefixes with a vertex of induced degree above 2 are skipped; degrees only
+    grow along the walk, so the search stays exhaustive and the first witness
+    is unchanged."""
     _require(g.n, MAX_SUBSET_N, "odd-hole detector")
     masks = _neighbor_masks(g)
-    for subset in _subsets_lex(g.n, 5):
+    for subset in _subsets_lex(g.n, 5, masks, 2):
         if len(subset) % 2 == 0:
             continue
         order = _cycle_order(masks, subset)
@@ -119,11 +153,15 @@ def find_odd_hole(g: Graph) -> StructureWitness | None:
 def find_antihole(g: Graph) -> StructureWitness | None:
     """First antihole of length at least six: a subset inducing a chordless
     cycle in the complement.  Length-five antiholes are self-complementary
-    five-holes and belong to the odd-hole detector."""
+    five-holes and belong to the odd-hole detector.
+
+    Prefixes with a vertex of degree above 2 in the complement are skipped;
+    degrees only grow along the walk, so the search stays exhaustive and the
+    first witness is unchanged."""
     _require(g.n, MAX_SUBSET_N, "antihole detector")
     full = (1 << g.n) - 1
     co_masks = [full & ~mask & ~(1 << v) for v, mask in enumerate(_neighbor_masks(g))]
-    for subset in _subsets_lex(g.n, 6):
+    for subset in _subsets_lex(g.n, 6, co_masks, 2):
         order = _cycle_order(co_masks, subset)
         if order is not None:
             return StructureWitness(ANTIHOLE, order)
@@ -169,14 +207,12 @@ def _prism_paths_ok(nbrs_in: dict[int, set[int]], tri_a: tuple[int, ...],
 def _prism_check(masks: Sequence[int], subset: tuple[int, ...]) -> bool:
     k = len(subset)
     smask = mask_of(subset)
+    degrees = [(masks[v] & smask).bit_count() for v in subset]
+    # Six vertices of degree 3 and k - 6 of degree 2, hence k + 3 edges.
+    if degrees.count(3) != 6 or degrees.count(2) != k - 6:
+        return False
     nbrs_in = {v: set(iter_bits(masks[v] & smask)) for v in subset}
-    if sum(len(s) for s in nbrs_in.values()) // 2 != k + 3:
-        return False
-    deg3 = [v for v in subset if len(nbrs_in[v]) == 3]
-    if len(deg3) != 6:
-        return False
-    if any(len(nbrs_in[v]) != 2 for v in subset if v not in deg3):
-        return False
+    deg3 = [v for v, d in zip(subset, degrees) if d == 3]
     anchor = deg3[0]
     rest = [v for v in deg3 if v != anchor]
     for two in combinations(rest, 2):
@@ -191,10 +227,14 @@ def _prism_check(masks: Sequence[int], subset: tuple[int, ...]) -> bool:
 
 def find_prism(g: Graph) -> StructureWitness | None:
     """First vertex subset inducing a prism: two disjoint triangles joined by
-    three vertex-disjoint paths and nothing else."""
+    three vertex-disjoint paths and nothing else.
+
+    Prefixes with a vertex of induced degree above 3 are skipped; degrees only
+    grow along the walk, so the search stays exhaustive and the first witness
+    is unchanged."""
     _require(g.n, MAX_SUBSET_N, "prism detector")
     masks = _neighbor_masks(g)
-    for subset in _subsets_lex(g.n, 6):
+    for subset in _subsets_lex(g.n, 6, masks, 3):
         if _prism_check(masks, subset):
             return StructureWitness(PRISM, subset)
     return None

@@ -3,11 +3,11 @@ import re
 
 import pytest
 
-from artemis_color import Coloring, color_artemis, generate
+from artemis_color import Coloring, color_artemis, complement, generate, random_graph
 from artemis_color.cli import main
 from artemis_color.dimacs import DimacsError, parse_dimacs, write_coloring, write_dimacs
 
-from conftest import cycle_graph
+from conftest import cycle_graph, prism_graph
 
 
 # --- parsing -----------------------------------------------------------------
@@ -124,6 +124,22 @@ def test_cli_detect(chordal_file, capsys):
     assert main(["detect", str(chordal_file)]) == 0
     out = capsys.readouterr().out
     assert "artemis: yes" in out and out.count(": none") == 3
+
+
+@pytest.mark.parametrize("graph, expected", [
+    (cycle_graph(5), ["odd-hole: 1 2 3 4 5", "antihole: none", "prism: none"]),
+    (complement(cycle_graph(7)), ["odd-hole: none", "antihole: 1 2 3 4 5 6 7", "prism: none"]),
+    # The prism's complement is C6, so the prism is also a six-antihole.
+    (prism_graph(), ["odd-hole: none", "antihole: 1 5 3 4 2 6", "prism: 1 2 3 4 5 6"]),
+    (random_graph(12, 0.6, 0), ["odd-hole: 1 5 12 2 7", "antihole: 1 8 11 10 5 7 12",
+                                "prism: 1 8 9 10 11 12"]),
+], ids=["c5", "co-c7", "prism", "random-12"])
+def test_cli_detect_witness_lines(graph, expected, tmp_path, capsys):
+    # Exact first witnesses, 1-based and in the detectors' vertex order.
+    path = tmp_path / "g.col"
+    path.write_text(write_dimacs(graph))
+    assert main(["detect", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == expected + ["artemis: no"]
 
 
 def test_cli_detect_budget_refusal(tmp_path):

@@ -30,6 +30,7 @@ from artemis_color import (
     random_graph,
 )
 
+from artemis_color.oracles import _cycle_order, _neighbor_masks, _prism_check, _subsets_lex
 from conftest import complete_graph, cycle_graph, k3_plus_k2, path_graph, prism_graph
 
 
@@ -231,6 +232,62 @@ def test_witnesses_reverify():
                 assert any(nx.is_isomorphic(sub, t)
                            for t in _prism_templates(len(verts)))
     assert all(count > 0 for count in seen.values())
+
+
+# --- the degree-capped subset walk against an unpruned one -------------------
+
+def _all_subsets_preorder(n):
+    # Sorted tuples: lexicographic order, with a prefix before its extensions.
+    return sorted(c for r in range(1, n + 1) for c in combinations(range(n), r))
+
+
+def _first_witness(subsets, min_size, check):
+    return next((w for w in (check(s) for s in subsets if len(s) >= min_size)
+                 if w is not None), None)
+
+
+def _max_induced_degree(masks, subset):
+    inside = sum(1 << v for v in subset)
+    return max((masks[v] & inside).bit_count() for v in subset)
+
+
+def test_subset_walk_yields_exactly_the_cap_respecting_subsets():
+    rng = random.Random(24)
+    for _ in range(120):
+        n = rng.randrange(1, 11)
+        g = random_graph(n, rng.uniform(0.1, 0.9), rng.randrange(10**6))
+        subsets = _all_subsets_preorder(n)
+        for masks in (_neighbor_masks(g), _neighbor_masks(complement(g))):
+            for cap, min_size in ((2, 5), (2, 6), (3, 1), (3, 6)):
+                expected = [s for s in subsets if len(s) >= min_size
+                            and _max_induced_degree(masks, s) <= cap]
+                assert list(_subsets_lex(n, min_size, masks, cap)) == expected
+
+
+def test_first_witnesses_match_unpruned_walk():
+    # Kind and exact vertex order of each detector's first witness, against
+    # the first hit of a walk over every subset in the same order.
+    rng = random.Random(25)
+    preorder = {n: _all_subsets_preorder(n) for n in range(5, 13)}
+    found = {ODD_HOLE: 0, ANTIHOLE: 0, PRISM: 0}
+    for i in range(320):
+        n = 5 + i % 8
+        g = random_graph(n, rng.uniform(0.2, 0.85), rng.randrange(10**6))
+        masks, co_masks = _neighbor_masks(g), _neighbor_masks(complement(g))
+        expected = {
+            ODD_HOLE: _first_witness(preorder[n], 5, lambda s: _cycle_order(masks, s)
+                                     if len(s) % 2 else None),
+            ANTIHOLE: _first_witness(preorder[n], 6, lambda s: _cycle_order(co_masks, s)),
+            PRISM: _first_witness(preorder[n], 6, lambda s: s if _prism_check(masks, s)
+                                  else None),
+        }
+        for kind, detector in ((ODD_HOLE, find_odd_hole), (ANTIHOLE, find_antihole),
+                               (PRISM, find_prism)):
+            witness = detector(g)
+            got = None if witness is None else (witness.kind, witness.vertices)
+            assert got == (None if expected[kind] is None else (kind, expected[kind])), (i, kind)
+            found[kind] += witness is not None
+    assert all(count >= 20 for count in found.values()), found
 
 
 # --- chordless paths and even pairs -----------------------------------------

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 import artemis_color.cli  # imports every module the tracer patches
-from artemis_color import bipartite, write_dimacs
+from artemis_color import bipartite, generate, write_dimacs
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -46,3 +46,23 @@ def test_traced_cli_run_counts_contractions_and_outer_paths(monkeypatch, tmp_pat
     assert code == 0
     assert counts["engine.contractions"] == len(json.loads(trace_file.read_text())["steps"])
     assert counts["engine.outer_path_hits"] > 0
+
+
+def test_traced_verify_run_attributes_class_scans(monkeypatch, tmp_path):
+    # The verifier scans every contracted graph for class membership through
+    # verify.is_artemis; the tracer's oracles.is_artemis span reads it there.
+    tracer_module = _load_tracer(monkeypatch)
+    graph_file, trace_file = tmp_path / "g.col", tmp_path / "trace.json"
+    graph_file.write_text(write_dimacs(generate("filtered-random", 12, 0.5, 1)))
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        code = artemis_color.cli.main(["color", str(graph_file), "--verify",
+                                       "--trace-json", str(trace_file)])
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    steps = len(json.loads(trace_file.read_text())["steps"])
+    assert code == 0 and steps > 0
+    assert summary["calls"].get("oracles.is_artemis", 0) == steps
+    assert summary["self"]["oracles.is_artemis"] > 0
