@@ -98,8 +98,11 @@ class OpCounters:
     One unit is one neighbor-scan step or one pairwise adjacency probe, the
     cost model under which the pipeline is an O(n^2 m) algorithm.  The charges
     count the algorithm's scans even where a C-level set operation does the
-    work, so the counts, and the slopes fitted to them, do not depend on how
-    a finder is written.  ``per_call`` and ``chain_depths`` get one entry per
+    work, and even where a finder skips a scan whose outcome it already
+    knows; those scans are charged in aggregate (for example the component
+    pass of :func:`find_interesting`, whose parts partition its domain).  So
+    the counts, and the slopes fitted to them, do not depend on how a finder
+    is written.  ``per_call`` and ``chain_depths`` get one entry per
     special-even-pair search.
     """
 
@@ -235,61 +238,81 @@ def find_interesting(g: Graph, dom: AbstractSet[int],
     """Maximal interesting set of the subgraph on ``dom``, or the clique
     partition when every vertex is simplicial.
 
-    Seed: the smallest vertex s whose degree falls short of its component
-    size minus one has a neighbor that sees past N[s]; the smallest such
-    neighbor is non-simplicial and starts the set.  Growth: each undecided
-    vertex whose neighborhood inside the complete set is a clique is shelved
-    for good; otherwise it joins the set and the complete set shrinks to its
-    neighbors, re-opening what fell out.  ``dom`` is only read.
+    Start: the smallest vertex s with a vertex at distance exactly two inside
+    ``dom``, found by one ascending walk that needs no component pass; the
+    smallest neighbor of s that sees past N[s] is non-simplicial and seeds
+    the set.  Without such an s, ``dom`` is a disjoint union of cliques, and
+    only then are its components computed.  Growth: each undecided vertex
+    whose neighborhood inside the complete set is a clique is shelved for
+    good; otherwise it joins the set and the complete set shrinks to its
+    neighbors, re-opening what fell out.  The min-heap of undecided vertices
+    holds only candidates, those with two or more neighbors in the complete
+    set.  ``dom`` is only read.
     """
-    parts = components(g, dom)
-    counters.interesting += len(dom) + sum(len(p) for p in parts)
-    comp_size = {}
-    for part in parts:
-        for v in part:
-            comp_size[v] = len(part)
-
-    start = None
+    nbr = g.neighbor_set
+    # The component pass of the cost model: its parts partition dom.
+    counters.interesting += 2 * len(dom)
+    # A vertex with no vertex at distance two sees its whole component, N[v]
+    # inside dom; the component's later members only compare their degree
+    # with its size.
+    whole: dict[int, int] = {}
+    start = seed = None
     for v in sorted(dom):
-        deg = len(g.neighbor_set(v) & dom)
         counters.interesting += 1
-        if deg < comp_size[v] - 1:
+        size = whole.get(v)
+        if size is None and nbr(v).isdisjoint(dom):
+            continue  # an isolated vertex is a component of its own
+        near = nbr(v) & dom
+        if len(near) + 1 == size:
+            continue
+        beyond = dom - near - {v}
+        # A neighbor of v that sees past N[v] sees two non-adjacent vertices,
+        # so it is non-simplicial.
+        seed = next((u for u in g.neighbors(v) if u in near and not nbr(u).isdisjoint(beyond)),
+                    None)
+        if seed is not None:
             start = v
             break
+        size = len(near) + 1
+        whole[v] = size
+        for u in near:
+            whole[u] = size
     if start is None:
-        return DisjointCliques(tuple(frozenset(p) for p in parts))
-
-    # A neighbor of start that sees past N[start] sees two non-adjacent
-    # vertices, so it is non-simplicial.
-    counters.interesting += g.degree(start)
-    beyond = dom - g.neighbor_set(start) - {start}
-    seed = None
-    for u in g.neighbors(start):
-        if u in dom:
-            counters.interesting += g.degree(u)
-            if not g.neighbor_set(u).isdisjoint(beyond):
-                seed = u
-                break
-    assert seed is not None
+        return DisjointCliques(tuple(frozenset(p) for p in components(g, dom)))
+    counters.interesting += g.degree(start) + sum(
+        g.degree(u) for u in g.neighbors(start) if u <= seed and u in dom)
 
     tset = {seed}
-    cset = g.neighbor_set(seed) & dom
-    # The undecided vertices as a min-heap.  It stays disjoint from tset and
-    # cset, so a vertex enters it once: at the start or when cset drops it.
-    undecided = list(dom - tset - cset)
-    heapify(undecided)
-    while undecided:
-        u = heappop(undecided)
-        cap = g.neighbor_set(u) & cset
-        counters.interesting += g.degree(u)
+    cset = nbr(seed) & dom
+    # Every vertex outside tset and cset becomes undecided once, at the start
+    # or when cset drops it, and is charged its degree then.  cset only
+    # shrinks, so one with at most one neighbor in cset at that moment would
+    # be shelved when picked, at no further charge: the min-heap holds only
+    # the others, the candidates, and the pick order is unchanged.
+    undecided = dom - cset - {seed}
+    counters.interesting += sum(map(g.degree, undecided))
+    if len(cset) < len(undecided):
+        # The candidates are the vertices seen from two members of cset.
+        once, twice = set(), set()
+        for c in cset:
+            twice |= once & nbr(c)
+            once |= nbr(c)
+        candidates = list(undecided & twice)
+    else:
+        candidates = [w for w in undecided if len(nbr(w) & cset) >= 2]
+    heapify(candidates)
+    while candidates:
+        u = heappop(candidates)
+        cap = nbr(u) & cset
         if _clique_probe(g, cap, counters):
             continue  # shelved: the complete set only shrinks, so this stays a clique
         tset.add(u)
-        dropped = cset - g.neighbor_set(u)
-        cset &= g.neighbor_set(u)
+        dropped = cset - nbr(u)
+        cset &= nbr(u)
+        counters.interesting += len(dropped) + sum(map(g.degree, dropped))
         for w in dropped:
-            heappush(undecided, w)
-        counters.interesting += len(dropped)
+            if len(nbr(w) & cset) >= 2:
+                heappush(candidates, w)
     return MaximalInteresting(frozenset(tset), frozenset(cset))
 
 

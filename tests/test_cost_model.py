@@ -64,3 +64,29 @@ def test_cost_model_is_pinned(case):
     assert counters == OpCounters(case["interesting"], case["outer"], case["even_pair"],
                                   case["per_call"], case["chain_depths"])
     assert [(step.a, step.b) for step in trace.steps] == case["steps"]
+
+
+SPARSE_STEPS = [
+    (0, 35), (0, 71), (0, 114), (0, 179), (0, 103), (0, 70), (3, 59), (3, 39), (3, 154),
+    (5, 155), (8, 96), (8, 19), (8, 46), (8, 107), (8, 23), (8, 114), (10, 129), (11, 18),
+    (11, 117), (14, 81), (15, 120), (16, 43), (16, 87), (16, 174), (18, 61), (23, 29),
+    (23, 59), (23, 137), (33, 70), (37, 51), (37, 77), (37, 127), (38, 45), (38, 75),
+    (38, 75), (38, 110), (38, 120), (41, 64), (71, 82), (72, 115), (75, 137), (75, 140),
+    (75, 149), (77, 99), (80, 102), (82, 119), (91, 122), (94, 148), (97, 104),
+]
+
+
+def test_sparse_cost_model_is_pinned():
+    # 89 of its 120 components are isolated vertices, so the levels walk
+    # past many singleton and clique components before a start, if any.
+    g = bipartite(200, 0.01, 5)
+    counters = OpCounters()
+    _, trace = color_artemis(g, counters=counters)
+    assert counters == OpCounters(
+        interesting=25070, outer=5371, even_pair=0,
+        per_call=[723, 717, 711, 706, 703, 704, 691, 687, 688, 673, 671, 668, 668, 664,
+                  665, 670, 637, 640, 637, 626, 617, 612, 606, 600, 596, 595, 589, 583,
+                  587, 585, 579, 573, 568, 562, 556, 550, 544, 541, 567, 561, 557, 551,
+                  545, 541, 538, 534, 537, 534, 531, 453],
+        chain_depths=[2] * 49 + [1])
+    assert [(step.a, step.b) for step in trace.steps] == SPARSE_STEPS

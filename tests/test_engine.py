@@ -1,3 +1,6 @@
+import random
+from heapq import heapify, heappop, heappush
+
 import pytest
 
 from artemis_color import (
@@ -9,6 +12,7 @@ from artemis_color import (
     OpCounters,
     OracleVerifier,
     OuterPath,
+    PipelineObserver,
     bipartite,
     brute_maximal_interesting_check,
     brute_minimal_outer_path_check,
@@ -16,6 +20,7 @@ from artemis_color import (
     chromatic_number_exact,
     color_artemis,
     common_complete,
+    components,
     contract,
     filtered_random,
     find_even_pair,
@@ -30,6 +35,7 @@ from artemis_color import (
     is_special_even_pair_exact,
     lift_coloring,
     max_clique_exact,
+    new_graph,
     outer_path_exists_criterion,
 )
 
@@ -100,6 +106,117 @@ def test_find_interesting_outputs_are_maximal():
         assert not is_clique(g, res.cset)
         assert brute_maximal_interesting_check(g, res.tset)
         assert _all_interesting_supersets(g, set(res.tset)) is None
+
+
+def _reference_clique_probe(g, s, counters):
+    size = len(s)
+    if size <= 1:
+        return True
+    for v in sorted(s):
+        counters.interesting += size
+        if len(g.neighbor_set(v) & s) != size - 1:
+            return False
+    return True
+
+
+def _reference_find_interesting(g, dom, counters):
+    """The finder as the cost model describes it: a full component pass to
+    find the start and a heap over every undecided vertex."""
+    parts = components(g, dom)
+    counters.interesting += len(dom) + sum(len(p) for p in parts)
+    comp_size = {v: len(part) for part in parts for v in part}
+    start = None
+    for v in sorted(dom):
+        counters.interesting += 1
+        if len(g.neighbor_set(v) & dom) < comp_size[v] - 1:
+            start = v
+            break
+    if start is None:
+        return DisjointCliques(tuple(frozenset(p) for p in parts))
+    counters.interesting += g.degree(start)
+    beyond = dom - g.neighbor_set(start) - {start}
+    for u in g.neighbors(start):
+        if u in dom:
+            counters.interesting += g.degree(u)
+            if not g.neighbor_set(u).isdisjoint(beyond):
+                seed = u
+                break
+    tset = {seed}
+    cset = g.neighbor_set(seed) & dom
+    undecided = list(dom - tset - cset)
+    heapify(undecided)
+    while undecided:
+        u = heappop(undecided)
+        counters.interesting += g.degree(u)
+        if _reference_clique_probe(g, g.neighbor_set(u) & cset, counters):
+            continue
+        tset.add(u)
+        dropped = cset - g.neighbor_set(u)
+        cset &= g.neighbor_set(u)
+        for w in dropped:
+            heappush(undecided, w)
+        counters.interesting += len(dropped)
+    return MaximalInteresting(frozenset(tset), frozenset(cset))
+
+
+def test_find_interesting_matches_full_pass_reference():
+    rng = random.Random(2024)
+    kinds = set()
+    for _ in range(2000):
+        n = rng.randint(2, 40)
+        density = rng.uniform(0.05, 0.95)
+        g = new_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < density])
+        keep = rng.random()
+        dom = frozenset(v for v in range(n) if rng.random() < keep)
+        got, want = OpCounters(), OpCounters()
+        res = find_interesting(g, dom, got)
+        assert res == _reference_find_interesting(g, dom, want)
+        assert got.interesting == want.interesting
+        kinds.add(type(res))
+    assert kinds == {DisjointCliques, MaximalInteresting}
+
+
+# Expected values computed with the full-pass finder.
+@pytest.mark.parametrize("n, edges, dom, tset, cset, charge", [
+    # Ahead of the first non-clique component (a C4 with a pendant 11 on 8):
+    # 0 and 6 isolated inside dom but not in g, a K2 and a triangle.  The
+    # set grows past its seed and drops 11, which is shelved unpicked.
+    (13, [(1, 2), (3, 4), (3, 5), (4, 5), (7, 8), (8, 9), (9, 10), (10, 7), (8, 11),
+          (0, 12), (6, 12), (10, 12)],
+     range(12), {8, 10}, {7, 9}, 54),
+    # A K2, then a star whose center 2 sees its whole component, so the start
+    # is the first leaf 3; 7 lies outside dom.
+    (8, [(0, 1), (2, 3), (2, 4), (2, 5), (2, 6), (3, 7), (5, 7)],
+     range(7), {2}, {3, 4, 5, 6}, 26),
+], ids=["cliques-first", "star-center"])
+def test_find_interesting_hand_built_starts(n, edges, dom, tset, cset, charge):
+    g = new_graph(n, edges)
+    counters = OpCounters()
+    res = find_interesting(g, frozenset(dom), counters)
+    assert res == MaximalInteresting(frozenset(tset), frozenset(cset))
+    assert counters.interesting == charge
+
+
+def test_find_interesting_components_only_on_clique_levels(monkeypatch):
+    import artemis_color.engine as engine
+
+    calls = []
+
+    def counted(g, s=None):
+        calls.append(s)
+        return components(g, s)
+
+    verdicts = []
+
+    class Verdicts(PipelineObserver):
+        def interesting(self, g, domain, result):
+            verdicts.append(isinstance(result, DisjointCliques))
+
+    monkeypatch.setattr(engine, "components", counted)
+    color_artemis(bipartite(80, 0.1, 3), observer=Verdicts())
+    assert len(calls) == sum(verdicts) > 0
+    assert sum(verdicts) < len(verdicts)  # the other levels ran no component pass
 
 
 # --- find_outer_path --------------------------------------------------------
