@@ -33,8 +33,6 @@ from .graphs import (
     ContractionTrace,
     Graph,
     GraphError,
-    SearchForest,
-    bfs_from_to,
     common_complete,
     complement,
     components,

@@ -73,7 +73,6 @@ def fit_loglog_slope(xs: list[float], ys: list[float]) -> float:
 @dataclass
 class BenchResult:
     family: str
-    density: float
     seed: int
     reports: list[RunReport] = field(default_factory=list)
     total_slope: float | None = None       # total ops against n^2 * m
@@ -95,15 +94,15 @@ class BenchResult:
         return "\n".join(rows)
 
 
-def bench(family: str, sizes: list[int], seed: int, *,
-          density: float = DEFAULT_BENCH_DENSITY) -> BenchResult:
-    """Color one instance per size and fit the operation-count scaling.
+def bench(family: str, sizes: list[int], seed: int) -> BenchResult:
+    """Color one instance per size, at density ``DEFAULT_BENCH_DENSITY``, and
+    fit the operation-count scaling.
 
     With a single size there is nothing to fit and the slopes stay None.
     """
-    result = BenchResult(family=family, density=density, seed=seed)
+    result = BenchResult(family=family, seed=seed)
     for i, n in enumerate(sizes):
-        g = generate(family, n, density, seed + i)
+        g = generate(family, n, DEFAULT_BENCH_DENSITY, seed + i)
         report, _, _ = run_instance(g, f"{family}-n{n}-s{seed + i}")
         result.reports.append(report)
     if len(sizes) > 1:

@@ -1,7 +1,8 @@
 """Batch front door: color, detect, generate and bench subcommands.
 
 Exit codes: 0 success, 1 the input could not be colored as an Artemis graph
-(or verification failed), 2 parse error, 3 oracle-budget refusal.
+(or verification failed), 2 unreadable or unparsable input or an unwritable
+trace file, 3 oracle-budget refusal.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import DEFAULT_BENCH_DENSITY, bench, run_instance
+from .bench import bench, run_instance
 from .dimacs import DimacsError, parse_dimacs, write_coloring, write_dimacs
 from .engine import ColoringError, NotArtemisError
 from .generators import FAMILIES, generate
@@ -26,7 +27,11 @@ EXIT_BUDGET = 3
 
 
 def _read_graph(path: str) -> Graph:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    raw = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DimacsError(f"input is not UTF-8 text: {exc}") from exc
     return parse_dimacs(text, on_warning=lambda msg: print(f"warning: {msg}", file=sys.stderr))
 
 
@@ -81,8 +86,12 @@ def _cmd_color(args: argparse.Namespace) -> int:
             print(f"verify: {sum(verifier.checks.values())} oracle checks passed",
                   file=sys.stderr)
     if args.trace_json:
-        Path(args.trace_json).write_text(
-            _trace_json(trace, report.chain_depths, residue))
+        try:
+            Path(args.trace_json).write_text(
+                _trace_json(trace, report.chain_depths, residue))
+        except OSError as exc:
+            print(f"error: cannot write trace: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     sys.stdout.write(write_coloring(coloring))
     return EXIT_OK
 
@@ -124,7 +133,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     sizes = sorted(int(s) for s in args.sizes.split(","))
-    result = bench(args.family, sizes, args.seed, density=DEFAULT_BENCH_DENSITY)
+    result = bench(args.family, sizes, args.seed)
     print(result.table())
     return EXIT_OK
 

@@ -14,7 +14,7 @@ resolved by smallest vertex id.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
@@ -25,7 +25,6 @@ from .graphs import (
     ContractionTrace,
     Graph,
     GraphError,
-    bfs_from_to,
     components,
 )
 
@@ -121,31 +120,28 @@ class WorkingGraph:
 
     Vertices keep the input's ids; a contraction removes the larger id of the
     merged pair, so the survivors keep their relative order and every
-    smallest-id tie-break matches the one on the dense renumbering.  Offers the
-    read interface of :class:`Graph`: ``vertices`` (the live ids, ascending;
-    do not mutate), ``neighbors``, ``neighbor_set``, ``degree``, ``adjacent``.
+    smallest-id tie-break matches the one on the dense renumbering.  Adjacency
+    is kept as neighbor sets only; a scan whose order decides the output
+    sorts what it scans.  The read interface is ``vertices`` (the live ids,
+    ascending; do not mutate), ``neighbor_set``, ``degree``, ``adjacent`` and
+    ``rank``.
     """
 
-    __slots__ = ("_sets", "_lists", "_live")
+    __slots__ = ("_sets", "_live")
 
     def __init__(self, g: Graph) -> None:
         self._sets = [set(g.neighbor_set(v)) for v in g.vertices]
-        self._lists = [list(g.neighbors(v)) for v in g.vertices]
         self._live = list(g.vertices)
 
     @property
     def vertices(self) -> list[int]:
         return self._live
 
-    def neighbors(self, v: int) -> list[int]:
-        """Live neighbors of v in ascending order."""
-        return self._lists[v]
-
     def neighbor_set(self, v: int) -> set[int]:
         return self._sets[v]
 
     def degree(self, v: int) -> int:
-        return len(self._lists[v])
+        return len(self._sets[v])
 
     def adjacent(self, u: int, v: int) -> bool:
         return v in self._sets[u]
@@ -172,17 +168,13 @@ def contract(g: WorkingGraph, a: int, b: int) -> ContractionStep:
     if g.adjacent(a, b):
         raise GraphError(f"vertices {a} and {b} are adjacent; contraction of an edge is undefined")
     lo, hi = (a, b) if a < b else (b, a)
-    kept = g._sets[lo]
-    for w in g._lists[hi]:
-        nbrs, nbr_set = g._lists[w], g._sets[w]
-        del nbrs[bisect_left(nbrs, hi)]
+    gone = g._sets[hi]
+    for w in gone:
+        nbr_set = g._sets[w]
         nbr_set.discard(hi)
-        if w not in kept:
-            insort(nbrs, lo)
-            nbr_set.add(lo)
-            kept.add(w)
-    g._lists[lo] = sorted(kept)
-    g._sets[hi], g._lists[hi] = set(), []
+        nbr_set.add(lo)
+    g._sets[lo] |= gone
+    g._sets[hi] = set()
     del g._live[max(ra, rb)]
     return ContractionStep(a=ra, b=rb)
 
@@ -192,9 +184,11 @@ class PipelineObserver:
 
     Subclasses can cross-check every intermediate structure (used by the
     oracle-backed verify mode).  Under :func:`color_artemis` every hook sees
-    the run's :class:`WorkingGraph` and vertex ids of the input graph; the
-    working graph changes in place at each contraction, so a hook that needs
-    a graph later must copy it (for example with ``graphs.induced``).
+    the run's :class:`WorkingGraph`, which offers ``vertices``,
+    ``neighbor_set``, ``degree``, ``adjacent`` and ``rank``, and vertex ids of
+    the input graph; the working graph changes in place at each contraction,
+    so a hook that needs a graph later must copy it (for example with
+    ``graphs.induced``).
     """
 
     def interesting(self, g: WorkingGraph, domain: frozenset[int],
@@ -268,8 +262,7 @@ def find_interesting(g: Graph, dom: AbstractSet[int],
         beyond = dom - near - {v}
         # A neighbor of v that sees past N[v] sees two non-adjacent vertices,
         # so it is non-simplicial.
-        seed = next((u for u in g.neighbors(v) if u in near and not nbr(u).isdisjoint(beyond)),
-                    None)
+        seed = next((u for u in sorted(near) if not nbr(u).isdisjoint(beyond)), None)
         if seed is not None:
             start = v
             break
@@ -279,8 +272,7 @@ def find_interesting(g: Graph, dom: AbstractSet[int],
             whole[u] = size
     if start is None:
         return DisjointCliques(tuple(frozenset(p) for p in components(g, dom)))
-    counters.interesting += g.degree(start) + sum(
-        g.degree(u) for u in g.neighbors(start) if u <= seed and u in dom)
+    counters.interesting += g.degree(start) + sum(g.degree(u) for u in near if u <= seed)
 
     tset = {seed}
     cset = nbr(seed) & dom
@@ -380,9 +372,8 @@ def _dig_out_path(g: Graph, x: int, met: set[int], seen: set[int],
     while queue:
         u = queue.popleft()
         counters.outer += g.degree(u)
-        for w in g.neighbors(u):
-            if w not in allowed or w in inner_seen:
-                continue
+        # Ascending order: the first target reached decides the path.
+        for w in sorted((g.neighbor_set(u) & allowed) - inner_seen):
             inner_seen.add(w)
             parent[w] = u
             if w in targets:
@@ -431,7 +422,11 @@ def find_even_pair(g: Graph, dom: AbstractSet[int], tset: AbstractSet[int],
 def _reached_boundary(g: Graph, dom: AbstractSet[int], tset: AbstractSet[int],
                       aside: AbstractSet[int], bside: AbstractSet[int],
                       counters: OpCounters) -> set[int]:
-    """Vertices of N(A) reached by a search from B avoiding T and A."""
+    """Vertices of N(A) reached by a search from B avoiding T and A.
+
+    The boundary vertices are leaves: they are reached but never expanded.
+    Each expanded vertex is charged its degree.
+    """
     boundary: set[int] = set()
     for a in aside:
         counters.even_pair += g.degree(a)
@@ -442,23 +437,29 @@ def _reached_boundary(g: Graph, dom: AbstractSet[int], tset: AbstractSet[int],
     targets = boundary & searchable
     if targets & bside:
         raise NotArtemisError("an edge joins the two endpoint classes; input is outside the class")
-    forest = bfs_from_to(g, searchable, bside, targets)
-    counters.even_pair += sum(g.degree(u) for u in forest.order)
-    return forest.reached_targets
+    reached: set[int] = set()
+    seen = set(bside)
+    stack = list(bside)
+    while stack:
+        u = stack.pop()
+        counters.even_pair += g.degree(u)
+        for w in g.neighbor_set(u):
+            if w in searchable and w not in seen:
+                seen.add(w)
+                if w in targets:
+                    reached.add(w)
+                else:
+                    stack.append(w)
+    return reached
 
 
 def _sees_all(g: Graph, side: AbstractSet[int], reached: set[int],
               counters: OpCounters) -> int | None:
-    need = len(reached)
-    hits = {v: 0 for v in side}
-    for u in sorted(reached):
-        counters.even_pair += g.degree(u)
-        for z in g.neighbors(u):
-            if z in hits:
-                hits[z] += 1
+    # reached never meets side, so v sees all of it exactly when it is a subset.
+    counters.even_pair += sum(map(g.degree, reached))
     for v in sorted(side):
         counters.even_pair += 1
-        if hits[v] == need:
+        if reached <= g.neighbor_set(v):
             return v
     return None
 

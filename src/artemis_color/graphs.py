@@ -1,15 +1,15 @@
 """Immutable simple graphs and the search primitives the coloring pipeline is built on.
 
-Vertices are dense 0-based integers.  Every neighbor scan runs in ascending
-vertex order and every tie is broken by smallest id, so each algorithm in the
-package produces the same output for the same input labeling.
+Vertices are dense 0-based integers.  Every tie is broken by smallest id, and
+every scan whose order could show runs in ascending vertex order, so each
+algorithm in the package produces the same output for the same input
+labeling.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable, Iterator
+from typing import Iterable, Iterator
 
 
 class GraphError(ValueError):
@@ -133,14 +133,6 @@ class ContractionTrace:
         return self.original_n - len(self.steps)
 
 
-@dataclass
-class SearchForest:
-    """Result of a breadth-first search: the expansion order and the targets reached."""
-
-    order: list[int]
-    reached_targets: set[int]
-
-
 def contract(g: Graph, a: int, b: int) -> tuple[Graph, ContractionStep]:
     """Merge the non-adjacent vertices a and b into one vertex.
 
@@ -182,7 +174,7 @@ def induced(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Subgraph on ``keep``, relabeled densely.
 
     Returns the subgraph and the old ids in ascending order, indexed by new id.
-    ``g`` may be any graph with the read interface of :class:`Graph`.
+    ``g`` may be any graph with ``vertices`` and ``neighbor_set``.
     """
     old_ids = tuple(sorted(set(keep)))
     present = g.vertices
@@ -191,7 +183,7 @@ def induced(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     to_new = {old: new for new, old in enumerate(old_ids)}
     edges = []
     for new, old in enumerate(old_ids):
-        for w in g.neighbors(old):
+        for w in g.neighbor_set(old):
             if w > old and w in to_new:
                 edges.append((new, to_new[w]))
     return Graph(len(old_ids), edges), old_ids
@@ -238,39 +230,6 @@ def components(g: Graph, s: Iterable[int] | None = None) -> list[set[int]]:
             stack.extend(fresh)
         parts.append(comp)
     return parts
-
-
-def bfs_from_to(g: Graph, dom: AbstractSet[int], sources: Iterable[int],
-                targets: Iterable[int]) -> SearchForest:
-    """Breadth-first search started from all of ``sources`` at once, restricted
-    to ``dom``, where ``targets`` may be discovered but are never expanded.
-
-    ``reached_targets`` collects the targets adjacent to some expanded vertex.
-    The queue is FIFO; every scan is in ascending vertex order.  ``dom`` is
-    only read.
-    """
-    src = sorted(set(sources))
-    tgt = set(targets)
-    if not tgt.union(src) <= dom:
-        raise GraphError("sources and targets must lie inside the search domain")
-    if tgt.intersection(src):
-        raise GraphError("sources and targets must be disjoint")
-    order: list[int] = []
-    reached: set[int] = set()
-    seen = set(src)
-    queue = deque(src)
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for w in g.neighbors(u):
-            if w not in dom or w in seen:
-                continue
-            seen.add(w)
-            if w in tgt:
-                reached.add(w)
-            else:
-                queue.append(w)
-    return SearchForest(order=order, reached_targets=reached)
 
 
 def is_simplicial(g: Graph, v: int) -> bool:

@@ -144,7 +144,7 @@ def test_criterion_7_scaling():
     import time
 
     start = time.perf_counter()
-    result = bench("chordal", [50, 100, 200, 400], 42, density=0.5)
+    result = bench("chordal", [50, 100, 200, 400], 42)
     elapsed = time.perf_counter() - start
     total, first = result.total_slope, result.first_call_slope
     _report(7, 0.7 <= total <= 1.3 and 0.8 <= first <= 1.2 and elapsed < 120,

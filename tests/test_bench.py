@@ -3,7 +3,7 @@ from artemis_color.bench import bench, fit_loglog_slope, run_instance
 
 
 def test_counters_monotone_in_size():
-    result = bench("chordal", [16, 32, 64], 13, density=0.5)
+    result = bench("chordal", [16, 32, 64], 13)
     totals = [r.total_ops for r in result.reports]
     assert totals == sorted(totals) and totals[0] > 0
     firsts = [r.first_call_ops for r in result.reports]
@@ -11,7 +11,7 @@ def test_counters_monotone_in_size():
 
 
 def test_single_size_has_no_slope():
-    result = bench("chordal", [24], 5, density=0.5)
+    result = bench("chordal", [24], 5)
     assert result.total_slope is None and result.first_call_slope is None
     assert len(result.reports) == 1
 

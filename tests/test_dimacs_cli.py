@@ -1,5 +1,7 @@
+import io
 import json
 import re
+import sys
 
 import pytest
 
@@ -105,6 +107,23 @@ def test_cli_color_parse_error(tmp_path):
     assert main(["color", str(broken)]) == 2
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("command", ["color", "detect"])
+def test_cli_rejects_non_utf8_input(command, source, tmp_path, capsys, monkeypatch):
+    # The stray byte sits in a comment line, which the parser would skip.
+    data = b"p edge 2 1\ne 1 2\nc \xff\n"
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        path = "-"
+    else:
+        path = tmp_path / "raw.col"
+        path.write_bytes(data)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: input is not UTF-8 text")
+    assert captured.out == ""
+
+
 def test_cli_color_verify_over_budget_note(tmp_path, capsys):
     # The full oracle checks run up to n = 12; beyond it, only the note.
     for n in (12, 13, 14):
@@ -190,6 +209,14 @@ def test_cli_trace_json_replays_lift(chordal_file, tmp_path, capsys):
         assignment = previous
     expected = [int(line.split()[2]) - 1 for line in stdout.splitlines()[1:]]
     assert assignment == expected
+
+
+def test_cli_trace_json_unwritable_path(chordal_file, tmp_path, capsys):
+    target = tmp_path / "missing" / "trace.json"
+    assert main(["color", "--trace-json", str(target), str(chordal_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write trace: ")
+    assert captured.out == "" and not target.exists()
 
 
 def test_cli_bench_single_size(capsys):

@@ -37,7 +37,11 @@ from artemis_color import (
     max_clique_exact,
     new_graph,
     outer_path_exists_criterion,
+    random_graph,
 )
+from artemis_color.engine import WorkingGraph
+from artemis_color.engine import contract as contract_in_place
+from artemis_color.graphs import induced
 
 from conftest import complete_graph, cycle_graph, k3_plus_k2, path_graph
 
@@ -466,3 +470,40 @@ def test_in_place_driver_feeds_verifier_like_reference():
     _color_both(g, verifier, ref_verifier)
     assert verifier.checks["pair_even"] > 0 and verifier.checks == ref_verifier.checks
     assert not verifier.failures and not ref_verifier.failures
+
+
+def test_in_place_contract_matches_dense_replay():
+    """Chains of 1-5 merges on a working graph: after each one every neighbor
+    set is symmetric and live, and the graph equals the dense replay."""
+    rng = random.Random(1717)
+    makers = (chordal, bipartite, random_graph)
+    kinds = {True: 0, False: 0}  # merges with and without a common neighbor
+    for k in range(90):
+        n = rng.randint(2, 30)
+        g = makers[k % 3](n, rng.choice((0.1, 0.3, 0.6)), 500 + k)
+        work, dense = WorkingGraph(g), g
+        for turn in range(rng.randint(1, 5)):
+            live = work.vertices
+            pairs = {True: [], False: []}
+            for i, a in enumerate(live):
+                for b in live[i + 1:]:
+                    if not work.adjacent(a, b):
+                        shared = bool(work.neighbor_set(a) & work.neighbor_set(b))
+                        pairs[shared].append((a, b))
+            pool = pairs[turn % 2 == 0] or pairs[turn % 2 == 1]
+            if not pool:
+                break
+            a, b = rng.choice(pool)
+            kinds[bool(work.neighbor_set(a) & work.neighbor_set(b))] += 1
+            if rng.random() < 0.5:
+                a, b = b, a
+            step = contract_in_place(work, a, b)
+            dense, _ = contract(dense, step.a, step.b)
+            alive = set(work.vertices)
+            for v in work.vertices:
+                nbrs = work.neighbor_set(v)
+                assert v not in nbrs and nbrs <= alive
+                assert all(v in work.neighbor_set(w) for w in nbrs)
+                assert work.degree(v) == len(nbrs)
+            assert induced(work, work.vertices)[0] == dense
+    assert kinds[True] > 20 and kinds[False] > 20

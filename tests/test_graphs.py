@@ -4,7 +4,6 @@ from artemis_color import (
     ContractionStep,
     ContractionTrace,
     GraphError,
-    bfs_from_to,
     common_complete,
     complement,
     components,
@@ -198,36 +197,6 @@ def test_components_match_networkx():
             for s in (set(), set(range(n)), set(rng.sample(range(n), rng.randrange(n + 1)))):
                 expected = sorted(nx.connected_components(h.subgraph(s)), key=min)
                 assert components(g, s) == expected
-
-
-def test_bfs_from_to_c6():
-    g = cycle_graph(6)
-    forest = bfs_from_to(g, set(range(6)) - {1}, {3}, {0, 2})
-    assert forest.order == [3, 4, 5]
-    assert forest.reached_targets == {0, 2}
-
-
-def test_bfs_from_to_empty_targets_is_plain_bfs():
-    from conftest import k3_plus_k2
-
-    g = k3_plus_k2()
-    forest = bfs_from_to(g, set(g.vertices), {0}, set())
-    assert set(forest.order) == {0, 1, 2}
-
-
-def test_bfs_from_to_targets_are_leaves():
-    g = path_graph(2)
-    forest = bfs_from_to(g, {0, 1}, {0}, {1})
-    assert forest.reached_targets == {1}
-    assert forest.order == [0]  # the target is reached but never expanded
-
-
-def test_bfs_from_to_validates_inputs():
-    g = path_graph(3)
-    with pytest.raises(GraphError):
-        bfs_from_to(g, {0, 1}, {0}, {2})
-    with pytest.raises(GraphError):
-        bfs_from_to(g, {0, 1, 2}, {0, 1}, {1})
 
 
 def test_is_simplicial():
