@@ -6,8 +6,8 @@ lifts a greedy residue coloring back, using exactly as many colors as the
 largest clique; brute-force oracles validate every step at desk scale.
 """
 
-from .bench import BenchResult, RunReport, bench, fit_loglog_slope, run_instance
-from .dimacs import DimacsError, parse_dimacs, write_coloring, write_dimacs
+from .bench import BenchResult, RunReport, bench
+from .dimacs import DimacsError, write_dimacs
 from .engine import (
     Coloring,
     ColoringError,

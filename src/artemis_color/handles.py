@@ -23,16 +23,11 @@ class HandleSearchDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class GeneralizedHandle:
-    """A handle H, one of its co-handles J, and their shared boundary N(H)=N(J).
-
-    ``handle_connected`` records whether this particular H happened to be
-    connected; the search does not require it.
-    """
+    """A handle H, one of its co-handles J, and their shared boundary N(H)=N(J)."""
 
     handle: frozenset[int]
     cohandle: frozenset[int]
     boundary: frozenset[int]
-    handle_connected: bool
 
 
 def _neighborhood(g: Graph, vertices: Iterable[int]) -> set[int]:
@@ -62,15 +57,7 @@ def _refit(g: Graph, v: int, edge: tuple[int, int]) -> tuple[set[int], set[int]]
     a, b = edge
     removed = (g.neighbor_set(a) | g.neighbor_set(b)) - {a, b}
     domain = set(g.vertices) - removed
-    comp = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for w in g.neighbors(u):
-            if w in domain and w not in comp:
-                comp.add(w)
-                stack.append(w)
-    cohandle = comp
+    cohandle = next(c for c in components(g, domain) if v in c)
     handle = set(g.vertices) - cohandle - _neighborhood(g, cohandle)
     return handle, cohandle
 
@@ -113,9 +100,7 @@ def find_generalized_handle(g: Graph, *, max_iterations: int | None = None,
     # neighborhood of the last edge, whose endpoints stay in the handle, so
     # the two boundaries coincide.
     assert boundary == _neighborhood(g, cohandle)
-    connected = len(components(g, handle)) == 1
-    return GeneralizedHandle(frozenset(handle), frozenset(cohandle),
-                             frozenset(boundary), connected)
+    return GeneralizedHandle(frozenset(handle), frozenset(cohandle), frozenset(boundary))
 
 
 def is_generalized_handle(g: Graph, handle: Iterable[int], cohandle: Iterable[int]) -> bool:

@@ -9,7 +9,12 @@ The three structure detectors enumerate vertex subsets, skipping every prefix
 in which some vertex already exceeds the structure's degree limit: 2 for odd
 holes, 2 in the complement for antiholes, 3 for prisms.  Induced degrees only
 grow as a subset is extended, so the walk stays exhaustive and the first
-witness is the one a walk over all subsets would find.
+witness is the one a walk over all subsets would find.  A subset with six
+vertices of degree 3 and the rest of degree 2 is a prism exactly when its
+degree-3 vertices split into triangles A and B such that the three walks
+leaving A by non-triangle edges end in B and, with the triangles, cover the
+subset; under those degrees each walk is a path, and what they miss is a cycle.
+The subset and path oracles read adjacency only from their own bitmasks.
 """
 
 from __future__ import annotations
@@ -120,14 +125,12 @@ def _cycle_order(masks: Sequence[int], subset: tuple[int, ...]) -> tuple[int, ..
         if (masks[v] & smask).bit_count() != 2:
             return None
     start = subset[0]
-    first_nbrs = sorted(iter_bits(masks[start] & smask))
+    first = masks[start] & smask
     order = [start]
-    prev = start
-    cur = first_nbrs[0]
+    prev, cur = start, (first & -first).bit_length() - 1
     while cur != start:
         order.append(cur)
-        nxt = [w for w in iter_bits(masks[cur] & smask) if w != prev]
-        prev, cur = cur, nxt[0]
+        prev, cur = cur, (masks[cur] & smask & ~(1 << prev)).bit_length() - 1
     if len(order) != len(subset):
         return None  # two-regular but disconnected: a union of shorter cycles
     return tuple(order)
@@ -168,60 +171,44 @@ def find_antihole(g: Graph) -> StructureWitness | None:
     return None
 
 
-def _prism_paths_ok(nbrs_in: dict[int, set[int]], tri_a: tuple[int, ...],
-                    tri_b: tuple[int, ...], subset: tuple[int, ...]) -> bool:
-    """After deleting the two triangles' edges, exactly three disjoint paths
-    must remain, each joining one vertex of tri_a to one of tri_b."""
-    tri_a_set, tri_b_set = set(tri_a), set(tri_b)
-    stripped = {}
-    for v in subset:
-        drop = tri_a_set if v in tri_a_set else tri_b_set if v in tri_b_set else set()
-        stripped[v] = nbrs_in[v] - drop
-    remaining = set(subset)
-    paths = 0
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            u = stack.pop()
-            for w in stripped[u]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        remaining -= comp
-        edge_count = sum(len(stripped[v] & comp) for v in comp) // 2
-        if edge_count != len(comp) - 1:
-            return False  # a cycle survived
-        leaves = [v for v in comp if len(stripped[v] & comp) == 1]
-        if len(comp) == 1 or len(leaves) != 2:
+def _walks_join(masks: Sequence[int], smask: int, tri_a: tuple[int, ...],
+                triangles: int, k: int) -> bool:
+    """Each walk leaving tri_a by a non-triangle edge ends in the other
+    triangle of the six vertices in triangles, and the three walks with those
+    six cover all k vertices of smask."""
+    amask = mask_of(tri_a)
+    covered = 6
+    for a in tri_a:
+        prev, cur = a, (masks[a] & smask & ~amask).bit_length() - 1
+        while not triangles >> cur & 1:
+            covered += 1
+            prev, cur = cur, (masks[cur] & smask & ~(1 << prev)).bit_length() - 1
+        if amask >> cur & 1:
             return False
-        if not ((leaves[0] in tri_a_set) ^ (leaves[1] in tri_a_set)):
-            return False
-        if (set(comp) - {leaves[0], leaves[1]}) & (tri_a_set | tri_b_set):
-            return False
-        paths += 1
-    return paths == 3
+    return covered == k
 
 
 def _prism_check(masks: Sequence[int], subset: tuple[int, ...]) -> bool:
+    """True when the subset induces a prism: its degree-3 vertices split into
+    triangles A and B whose three walks from A end in B and cover the subset,
+    which is exact because the degree prefilter leaves every triangle vertex
+    one edge out of its triangle and every other vertex degree 2."""
     k = len(subset)
     smask = mask_of(subset)
     degrees = [(masks[v] & smask).bit_count() for v in subset]
     # Six vertices of degree 3 and k - 6 of degree 2, hence k + 3 edges.
     if degrees.count(3) != 6 or degrees.count(2) != k - 6:
         return False
-    nbrs_in = {v: set(iter_bits(masks[v] & smask)) for v in subset}
     deg3 = [v for v, d in zip(subset, degrees) if d == 3]
+    triangles = mask_of(deg3)
     anchor = deg3[0]
     rest = [v for v in deg3 if v != anchor]
     for two in combinations(rest, 2):
         tri_a = (anchor,) + two
         tri_b = tuple(v for v in deg3 if v not in tri_a)
-        if all(w in nbrs_in[v] for v, w in combinations(tri_a, 2)) and \
-           all(w in nbrs_in[v] for v, w in combinations(tri_b, 2)):
-            if _prism_paths_ok(nbrs_in, tri_a, tri_b, subset):
-                return True
+        if all(masks[v] >> w & 1 for tri in (tri_a, tri_b) for v, w in combinations(tri, 2)) \
+           and _walks_join(masks, smask, tri_a, triangles, k):
+            return True
     return False
 
 
@@ -263,9 +250,7 @@ def enumerate_chordless_paths(g: Graph, x: int, y: int) -> list[tuple[int, ...]]
 
     def extend(forbid: int) -> None:
         last = path[-1]
-        for w in g.neighbors(last):
-            if forbid >> w & 1:
-                continue
+        for w in iter_bits(masks[last] & ~forbid):
             if w == y:
                 result.append(tuple(path) + (y,))
                 continue
@@ -353,10 +338,10 @@ def _chromatic_from(g: Graph, lower: int) -> int:
 
         return place(0)
 
-    for k in range(lower, n + 1):
-        if colorable(k):
-            return k
-    return n
+    k = lower
+    while not colorable(k):
+        k += 1
+    return k
 
 
 def is_interesting_set(g: Graph, tset: Iterable[int]) -> bool:
@@ -407,9 +392,7 @@ def enumerate_outer_paths(g: Graph, tset: Iterable[int],
 
         def extend(forbid: int) -> None:
             last = path[-1]
-            for w in g.neighbors(last):
-                if forbid >> w & 1:
-                    continue
+            for w in iter_bits(masks[last] & ~forbid):
                 if w in cset:
                     if w > start and len(path) >= 2:
                         result.append(tuple(path) + (w,))

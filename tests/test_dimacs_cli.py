@@ -101,6 +101,21 @@ def test_cli_color_verify_rejects_c5(tmp_path, capsys):
     assert "verify:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed, reason", [
+    (8, "no vertex of the second endpoint class sees its whole reachable boundary"),
+    (89, "an edge joins the two endpoint classes; input is outside the class"),
+])
+def test_cli_color_rejects_non_artemis(seed, reason, tmp_path, capsys):
+    # Two of the rare random graphs the engine itself rejects; n = 13 is past
+    # the oracle budget, so the rejection comes from the engine alone.
+    path = tmp_path / "g.col"
+    path.write_text(write_dimacs(random_graph(13, 0.5, seed)))
+    assert main(["color", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: input is not colorable as an Artemis graph: {reason}\n"
+
+
 def test_cli_color_parse_error(tmp_path):
     broken = tmp_path / "broken.col"
     broken.write_text("p edge 2 1\ne 1 9\n")

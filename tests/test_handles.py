@@ -7,7 +7,6 @@ from artemis_color import (
     brute_maximal_interesting_check,
     cohandle_is_max_interesting,
     complement,
-    components,
     DisjointCliques,
     find_generalized_handle,
     find_interesting,
@@ -45,6 +44,21 @@ def test_p4_handle():
     assert brute_maximal_interesting_check(complement(g), found.cohandle)
 
 
+def test_is_generalized_handle_rejections():
+    # On the 4-path 0-1-2-3, H = {2, 3} with J = {0} is a handle.
+    p4 = path_graph(4)
+    assert is_generalized_handle(p4, {2, 3}, {0})
+    assert not is_generalized_handle(p4, {2, 3}, set())  # empty J
+    assert not is_generalized_handle(p4, {2, 3}, {0, 3})  # J meets H
+    assert not is_generalized_handle(p4, {3}, {0})  # H has no edge
+    assert not is_generalized_handle(p4, {2, 3}, {1})  # N(J) = {0, 2} differs
+    # J = {0, 4} has boundary {1} = N(H) but is two components of G - N(H)
+    fork = new_graph(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
+    assert not is_generalized_handle(fork, {2, 3}, {0, 4})
+    # on the 5-path the boundary vertex 1 sees neither end of the edge 3-4
+    assert not is_generalized_handle(path_graph(5), {2, 3, 4}, {0})
+
+
 def test_handle_sweep_properties():
     rng = random.Random(50)
     found = 0
@@ -60,7 +74,6 @@ def test_handle_sweep_properties():
         # search returns is even maximal there
         assert is_interesting_set(complement(g), result.cohandle)
         assert cohandle_is_max_interesting(g, result)
-        assert result.handle_connected == (len(components(g, result.handle)) == 1)
     assert found > 100
 
 

@@ -88,6 +88,26 @@ def test_prism_subdivided():
     assert witness is not None and len(witness.vertices) == 7
 
 
+def test_prism_rejects_walk_back_into_its_triangle():
+    # Two diamonds joined by the edge 2-6: the prism's degree profile, and the
+    # degree-3 vertices form the triangles {0, 1, 2} and {4, 5, 6}, but the
+    # walk leaving 0 by 0-3 comes back to 1, in its own triangle.  The graph
+    # is chordal, hence Artemis.
+    g = new_graph(8, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3),
+                      (4, 5), (5, 6), (4, 6), (4, 7), (5, 7), (2, 6)])
+    assert find_prism(g) is None
+    assert is_artemis(g)[0]
+
+
+def test_prism_rejects_leftover_cycle():
+    # A triangle beside a prism: the whole vertex set has the prism's degree
+    # profile, but the walks miss the triangle, so only {3, ..., 8} counts.
+    g = new_graph(9, [(0, 1), (1, 2), (0, 2),
+                      (3, 4), (4, 5), (3, 5), (6, 7), (7, 8), (6, 8),
+                      (3, 6), (4, 7), (5, 8)])
+    assert find_prism(g).vertices == (3, 4, 5, 6, 7, 8)
+
+
 def test_is_artemis():
     ok, witness = is_artemis(cycle_graph(5))
     assert not ok and witness.kind == ODD_HOLE
@@ -379,8 +399,23 @@ def test_brute_maximal_interesting():
 def test_brute_minimal_outer_path():
     g = cycle_graph(6)
     assert brute_minimal_outer_path_check(g, {1}, {0, 2}, (0, 5, 4, 3, 2))
-    # interior touching the complete set
+    # the endpoint 1 lies in T, not in the complete set
     assert not brute_minimal_outer_path_check(g, {1}, {0, 2}, (0, 5, 4, 3, 2, 1))
+    # too short, or a vertex repeated
+    assert not brute_minimal_outer_path_check(g, {1}, {0, 2}, (0, 2))
+    assert not brute_minimal_outer_path_check(g, {1}, {0, 2}, (0, 5, 4, 5, 2))
+    # interior touching T
+    assert not brute_minimal_outer_path_check(g, {1}, {0, 2}, (0, 1, 2))
+    # interior touching the complete set
+    assert not brute_minimal_outer_path_check(g, {1}, {0, 2, 4}, (0, 5, 4, 3, 2))
+    # consecutive vertices 5 and 3 are not adjacent
+    assert not brute_minimal_outer_path_check(g, {1}, {0, 2}, (0, 5, 3, 2))
+    # the chord 3-5
+    chorded = new_graph(6, [(i, (i + 1) % 6) for i in range(6)] + [(3, 5)])
+    assert not brute_minimal_outer_path_check(chorded, {1}, {0, 2}, (0, 5, 4, 3, 2))
+    # a complete vertex 6 sees 4, so the outer path 0-5-4-6 has a smaller interior
+    shortcut = new_graph(7, [(i, (i + 1) % 6) for i in range(6)] + [(1, 6), (4, 6)])
+    assert not brute_minimal_outer_path_check(shortcut, {1}, {0, 2, 6}, (0, 5, 4, 3, 2))
     # odd length is rejected outright
     c5 = cycle_graph(5)
     assert not brute_minimal_outer_path_check(c5, {1}, {0, 2}, (0, 4, 3, 2))
