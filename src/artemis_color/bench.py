@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .engine import Coloring, OpCounters, PipelineObserver, color_artemis
 from .generators import generate
-from .graphs import ContractionTrace, Graph
+from .graphs import ContractionTrace, Graph, GraphError
 
 DEFAULT_BENCH_DENSITY = 0.5
 
@@ -99,10 +99,14 @@ def bench(family: str, sizes: list[int], seed: int) -> BenchResult:
     fit the operation-count scaling.
 
     With a single size there is nothing to fit and the slopes stay None.
+    A fit takes logarithms of n^2*m, so it refuses an edgeless instance with
+    GraphError.
     """
     result = BenchResult(family=family, seed=seed)
     for i, n in enumerate(sizes):
         g = generate(family, n, DEFAULT_BENCH_DENSITY, seed + i)
+        if len(sizes) > 1 and g.m == 0:
+            raise GraphError(f"cannot fit the scaling: the instance with n={n} has no edges")
         report, _, _ = run_instance(g, f"{family}-n{n}-s{seed + i}")
         result.reports.append(report)
     if len(sizes) > 1:

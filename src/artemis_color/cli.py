@@ -1,8 +1,10 @@
 """Batch front door: color, detect, generate and bench subcommands.
 
 Exit codes: 0 success, 1 the input could not be colored as an Artemis graph
-(or verification failed), 2 unreadable or unparsable input or an unwritable
-trace file, 3 oracle-budget refusal.
+(or verification failed), 2 unreadable or unparsable input, an unwritable
+trace file, or generator and bench arguments that are refused (a density
+outside [0, 1], malformed or refused sizes, an edgeless instance in a fit),
+3 oracle-budget refusal.
 """
 
 from __future__ import annotations
@@ -132,8 +134,20 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    sizes = sorted(int(s) for s in args.sizes.split(","))
-    result = bench(args.family, sizes, args.seed)
+    try:
+        sizes = sorted(int(s) for s in args.sizes.split(","))
+    except ValueError:
+        print(f"error: --sizes needs comma-separated integers, got {args.sizes!r}",
+              file=sys.stderr)
+        return EXIT_PARSE
+    try:
+        result = bench(args.family, sizes, args.seed)
+    except BudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except GraphError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     print(result.table())
     return EXIT_OK
 

@@ -72,7 +72,7 @@ def parse_dimacs(text: str, *, on_warning: Callable[[str], None] | None = None) 
         warn(f"{duplicates} duplicate edge line(s) ignored")
     if declared_m != len(edges):
         warn(f"'p' line declares {declared_m} edges, file defines {len(edges)}")
-    return new_graph(n, sorted(edges))
+    return new_graph(n, edges)
 
 
 def write_dimacs(g: Graph, *, comments: list[str] | None = None) -> str:

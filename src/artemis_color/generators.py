@@ -91,4 +91,6 @@ def generate(family: str, n: int, density: float, seed: int) -> Graph:
         maker = FAMILIES[family]
     except KeyError:
         raise GraphError(f"unknown family {family!r}; pick one of {sorted(FAMILIES)}")
+    if not 0 <= density <= 1:
+        raise GraphError(f"density must lie in [0, 1], got {density}")
     return maker(n, density, seed)

@@ -21,11 +21,12 @@ class Graph:
 
     Instances are immutable: contraction, complement and induced subgraphs
     return new graphs, which makes traces and parallel reads safe.  Adjacency
-    is stored two ways: frozensets for O(1) membership and sorted tuples for
-    deterministic O(deg) scans.
+    is stored once, as one frozenset per vertex: O(1) membership and O(deg)
+    scans.  A set has no order, so a reader whose scan order could show sorts
+    what it scans; ``edges()`` is the one such reader here.
     """
 
-    __slots__ = ("n", "m", "_sets", "_lists")
+    __slots__ = ("n", "m", "_sets")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
         if n < 0:
@@ -44,21 +45,16 @@ class Graph:
         self.n = n
         self.m = m
         self._sets = tuple(frozenset(s) for s in adj)
-        self._lists = tuple(tuple(sorted(s)) for s in adj)
 
     @property
     def vertices(self) -> range:
         return range(self.n)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        """Neighbors of v in ascending order."""
-        return self._lists[v]
-
     def neighbor_set(self, v: int) -> frozenset[int]:
         return self._sets[v]
 
     def degree(self, v: int) -> int:
-        return len(self._lists[v])
+        return len(self._sets[v])
 
     def adjacent(self, u: int, v: int) -> bool:
         return v in self._sets[u]
@@ -66,7 +62,7 @@ class Graph:
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, in ascending lexicographic order."""
         for u in range(self.n):
-            for v in self._lists[u]:
+            for v in sorted(self._sets[u]):
                 if v > u:
                     yield (u, v)
 
@@ -150,12 +146,9 @@ def contract(g: Graph, a: int, b: int) -> tuple[Graph, ContractionStep]:
     to_new = tuple(
         lo if v == a or v == b else (v - 1 if v > hi else v)
         for v in range(g.n))
-    mapped = set()
-    for u, v in g.edges():
-        mu, mv = to_new[u], to_new[v]
-        if mu != mv:
-            mapped.add((mu, mv) if mu < mv else (mv, mu))
-    successor = Graph(g.n - 1, sorted(mapped))
+    # a and b are not adjacent, so no edge becomes a loop; the two edges from
+    # a and b to a common neighbor become one, which the constructor merges.
+    successor = Graph(g.n - 1, ((to_new[u], to_new[v]) for u, v in g.edges()))
     return successor, ContractionStep(a=a, b=b)
 
 

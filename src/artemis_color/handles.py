@@ -63,7 +63,7 @@ def _refit(g: Graph, v: int, edge: tuple[int, int]) -> tuple[set[int], set[int]]
 
 
 def _inner_edges(g: Graph, vertices: set[int]) -> list[tuple[int, int]]:
-    return [(u, w) for u in sorted(vertices) for w in g.neighbors(u)
+    return [(u, w) for u in vertices for w in g.neighbor_set(u)
             if w > u and w in vertices]
 
 

@@ -75,7 +75,7 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 def _neighbor_masks(g: Graph) -> list[int]:
     """Neighborhood of every vertex as a bitmask, indexed by vertex."""
-    return [mask_of(g.neighbors(v)) for v in g.vertices]
+    return [mask_of(g.neighbor_set(v)) for v in g.vertices]
 
 
 def _subsets_lex(n: int, min_size: int, masks: Sequence[int],
@@ -326,7 +326,7 @@ def _chromatic_from(g: Graph, lower: int) -> int:
                 return True
             v = order[i]
             used_new = max(assigned.values(), default=-1) + 1
-            taken = {assigned[w] for w in g.neighbors(v) if w in assigned}
+            taken = {assigned[w] for w in g.neighbor_set(v) if w in assigned}
             for c in range(min(used_new + 1, k)):
                 if c in taken:
                     continue

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from artemis_color import Coloring, color_artemis, complement, generate, random_graph
+from artemis_color import Coloring, color_artemis, complement, generate, new_graph, random_graph
 from artemis_color.cli import main
 from artemis_color.dimacs import DimacsError, parse_dimacs, write_coloring, write_dimacs
 
@@ -56,6 +56,11 @@ def test_parse_warnings():
 def test_round_trip():
     g = generate("chordal", 11, 0.5, 4)
     assert parse_dimacs(write_dimacs(g)) == g
+
+
+def test_write_dimacs_lists_edges_in_ascending_order():
+    g = new_graph(10, [(0, 9), (0, 2), (2, 9), (1, 8)])
+    assert write_dimacs(g) == "p edge 10 4\ne 1 3\ne 1 10\ne 2 9\ne 3 10\n"
 
 
 # --- coloring output ---------------------------------------------------------
@@ -197,6 +202,15 @@ def test_cli_generate_budget_refusal(capsys):
                  "--density", "0.3", "--seed", "0"]) == 3
 
 
+@pytest.mark.parametrize("density", ["-1", "1.5", "nan"])
+def test_cli_generate_rejects_density_outside_unit_interval(density, capsys):
+    assert main(["generate", "--family", "chordal", "--n", "3", "--density", density,
+                 "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: density must lie in [0, 1], got {float(density)}\n"
+
+
 def test_cli_trace_json_replays_lift(chordal_file, tmp_path, capsys):
     trace_path = tmp_path / "trace.json"
     assert main(["color", "--trace-json", str(trace_path), str(chordal_file)]) == 0
@@ -238,3 +252,17 @@ def test_cli_bench_single_size(capsys):
     assert main(["bench", "--family", "chordal", "--sizes", "30", "--seed", "5"]) == 0
     out = capsys.readouterr().out
     assert "slope" not in out and "total" in out
+
+
+@pytest.mark.parametrize("family, sizes, code, message", [
+    ("chordal", "50,x", 2, "error: --sizes needs comma-separated integers, got '50,x'"),
+    ("chordal", ",", 2, "error: --sizes needs comma-separated integers, got ','"),
+    ("chordal", "0", 2, "error: chordal generator needs n >= 1"),
+    ("filtered-random", "13", 3,
+     "error: filtered-random needs the detectors, capped at 12 vertices"),
+    ("chordal", "1,2", 2, "error: cannot fit the scaling: the instance with n=1 has no edges"),
+], ids=["malformed", "empty", "refused-size", "budget", "edgeless-fit"])
+def test_cli_bench_rejects(family, sizes, code, message, capsys):
+    assert main(["bench", "--family", family, "--sizes", sizes, "--seed", "1"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message + "\n"

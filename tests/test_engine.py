@@ -139,7 +139,7 @@ def _reference_find_interesting(g, dom, counters):
         return DisjointCliques(tuple(frozenset(p) for p in parts))
     counters.interesting += g.degree(start)
     beyond = dom - g.neighbor_set(start) - {start}
-    for u in g.neighbors(start):
+    for u in sorted(g.neighbor_set(start)):
         if u in dom:
             counters.interesting += g.degree(u)
             if not g.neighbor_set(u).isdisjoint(beyond):
@@ -413,6 +413,16 @@ def test_lift_rejects_improper_input():
     bad = Coloring((0, 0, 1), 2)  # lifts to (0, 0, 0, 1): edge 0-1 clashes
     with pytest.raises(ColoringError):
         lift_coloring(trace, bad, original_graph=g)
+
+
+def test_lift_names_the_smallest_clashing_edge():
+    # Vertex 0 sees 2 and 9, both colored like it; (0, 2) comes first in
+    # ascending order, although 9 comes first in the set {2, 9}.
+    g = new_graph(10, [(0, 9), (0, 2), (2, 9), (1, 8)])
+    bad = Coloring((0, 1, 0, 1, 1, 1, 1, 1, 0, 0), 2)
+    with pytest.raises(ColoringError) as info:
+        lift_coloring(ContractionTrace(original_n=10), bad, original_graph=g)
+    assert str(info.value) == "lifted coloring gives both endpoints of edge (0, 2) color 0"
 
 
 def test_coloring_type_rejects_unused_colors():
