@@ -99,8 +99,9 @@ def bench(family: str, sizes: list[int], seed: int) -> BenchResult:
     fit the operation-count scaling.
 
     With a single size there is nothing to fit and the slopes stay None.
-    A fit takes logarithms of n^2*m, so it refuses an edgeless instance with
-    GraphError.
+    A fit takes logarithms of n^2*m and n*m, so it refuses with GraphError an
+    edgeless instance, or sizes that give every instance the same n^2*m or
+    n*m.
     """
     result = BenchResult(family=family, seed=seed)
     for i, n in enumerate(sizes):
@@ -112,6 +113,9 @@ def bench(family: str, sizes: list[int], seed: int) -> BenchResult:
     if len(sizes) > 1:
         xs_total = [r.n * r.n * r.m for r in result.reports]
         xs_first = [r.n * r.m for r in result.reports]
+        for xs, what in ((xs_total, "n^2*m"), (xs_first, "n*m")):
+            if len(set(xs)) == 1:
+                raise GraphError(f"cannot fit the scaling: every instance has {what} = {xs[0]}")
         result.total_slope = fit_loglog_slope(xs_total, [r.total_ops for r in result.reports])
         result.first_call_slope = fit_loglog_slope(
             xs_first, [r.first_call_ops for r in result.reports])

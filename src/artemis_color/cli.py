@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 the input could not be colored as an Artemis graph
 (or verification failed), 2 unreadable or unparsable input, an unwritable
 trace file, or generator and bench arguments that are refused (a density
-outside [0, 1], malformed or refused sizes, an edgeless instance in a fit),
+outside [0, 1], malformed or refused sizes, an edgeless instance or a constant
+n^2*m or n*m in a fit),
 3 oracle-budget refusal.
 """
 

@@ -65,6 +65,8 @@ def random_graph(n: int, density: float, seed: int) -> Graph:
 
 def filtered_random(n: int, density: float, seed: int) -> Graph:
     """Random graph rejection-sampled through the exact class detectors."""
+    if n < 1:
+        raise GraphError("filtered-random generator needs n >= 1")
     if n > MAX_SUBSET_N:
         raise BudgetExceeded(
             f"filtered-random needs the detectors, capped at {MAX_SUBSET_N} vertices")

@@ -5,15 +5,20 @@ branch-and-bound at desk scale, used to validate the fast pipeline instance by
 instance.  Each entry point refuses inputs beyond its budget instead of
 silently running forever.
 
-The three structure detectors enumerate vertex subsets, skipping every prefix
-in which some vertex already exceeds the structure's degree limit: 2 for odd
-holes, 2 in the complement for antiholes, 3 for prisms.  Induced degrees only
-grow as a subset is extended, so the walk stays exhaustive and the first
-witness is the one a walk over all subsets would find.  A subset with six
-vertices of degree 3 and the rest of degree 2 is a prism exactly when its
-degree-3 vertices split into triangles A and B such that the three walks
-leaving A by non-triangle edges end in B and, with the triangles, cover the
-subset; under those degrees each walk is a path, and what they miss is a cycle.
+Holes, antiholes and prisms are connected, so the three structure detectors
+reach their verdict by connected searches: chordless paths grown from a
+hole's smallest vertex (in the complement for antiholes), and a walk over
+connected vertex sets for prisms.  Only when a structure exists do they run
+the lexicographic subset walk that produces the witness.  That walk skips
+every prefix in which some vertex already exceeds the structure's degree
+limit: 2 for odd holes, 2 in the complement for antiholes, 3 for prisms.
+Induced degrees only grow as a subset is extended, so the walk stays
+exhaustive and the first witness is the one a walk over all subsets would
+find.  A subset with six vertices of degree 3 and the rest of degree 2 is a
+prism exactly when its degree-3 vertices split into triangles A and B such
+that the three walks leaving A by non-triangle edges end in B and, with the
+triangles, cover the subset; under those degrees each walk is a path, and
+what they miss is a cycle.
 The subset and path oracles read adjacency only from their own bitmasks.
 """
 
@@ -136,14 +141,99 @@ def _cycle_order(masks: Sequence[int], subset: tuple[int, ...]) -> tuple[int, ..
     return tuple(order)
 
 
+def _has_hole(masks: Sequence[int], n: int, min_len: int, odd: bool) -> bool:
+    """True when masks induce a chordless cycle of at least min_len vertices,
+    of odd length when odd is set (min_len is at least 4).
+
+    A hole is found from its smallest vertex v and the smaller a of v's two
+    hole neighbors: a chordless path grows from a through vertices above v
+    outside N[v], and closes at a neighbor b > a of v that sees no path
+    vertex but the last."""
+    for v in range(n):
+        above = -(2 << v)
+        inner = above & ~masks[v]
+        for a in iter_bits(masks[v] & above):
+            ends = masks[v] & -(2 << a)
+            # Each entry: the path's last vertex, the path with the
+            # neighborhoods of all but its last vertex, and its vertex count.
+            stack = [(a, 1 << a, 1)]
+            while stack:
+                last, seen, k = stack.pop()
+                step = masks[last] & ~seen
+                if k + 2 >= min_len and (not odd or k % 2) and step & ends:
+                    return True
+                seen |= masks[last]
+                for w in iter_bits(step & inner):
+                    stack.append((w, seen | 1 << w, k + 1))
+    return False
+
+
+def _one_edge(masks: Sequence[int], trio: int) -> bool:
+    """The three vertices of trio span exactly one edge under masks."""
+    p = trio & -trio
+    q = trio ^ p
+    r = q & (q - 1)
+    q ^= r
+    return ((masks[p.bit_length() - 1] & (q | r)).bit_count()
+            + (masks[q.bit_length() - 1] & r).bit_count()) == 1
+
+
+def _has_prism(masks: Sequence[int], n: int) -> bool:
+    """True when masks induce a prism.
+
+    An ESU walk (Wernicke, 2006) grows every connected vertex set once, from
+    its smallest vertex.  It skips a set together with its extensions once a
+    member's induced degree exceeds 3, or once a member of degree 3 has
+    neighbors spanning other than one edge: a prism's degree-3 vertex sees
+    its two triangle mates and one vertex adjacent to neither, and the degree
+    cap keeps those neighbors in every extension.  A set whose degrees fit a
+    prism goes to _prism_check."""
+
+    def grow(sub: int, ext: int, near: int, d1: int, d2: int, d3: int,
+             floor: int) -> bool:
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            w = low.bit_length() - 1
+            nb = masks[w] & sub
+            k = nb.bit_count()
+            if k > 3 or nb & d3:
+                continue
+            grown = sub | low
+            e3 = d3 | d2 & nb | (low if k > 2 else 0)
+            fresh = e3 ^ d3
+            while fresh and _one_edge(masks, masks[(fresh & -fresh).bit_length() - 1] & grown):
+                fresh &= fresh - 1
+            if fresh:
+                continue
+            e2 = d2 | d1 & nb | (low if k > 1 else 0)
+            e1 = d1 | nb | (low if k else 0)
+            if (e2 == grown and e3.bit_count() == 6
+                    and _prism_check(masks, tuple(iter_bits(grown)))):
+                return True
+            if grow(grown, ext | masks[w] & ~near & floor, near | masks[w],
+                    e1, e2, e3, floor):
+                return True
+        return False
+
+    for v in range(n):
+        floor = -(2 << v)
+        if grow(1 << v, masks[v] & floor, masks[v] | 1 << v, 0, 0, 0, floor):
+            return True
+    return False
+
+
 def find_odd_hole(g: Graph) -> StructureWitness | None:
     """First chordless odd cycle of length at least five, by subset enumeration.
 
-    Prefixes with a vertex of induced degree above 2 are skipped; degrees only
-    grow along the walk, so the search stays exhaustive and the first witness
-    is unchanged."""
+    The verdict comes from the path search of _has_hole; only a graph with an
+    odd hole pays for the walk.  Prefixes with a vertex of induced degree
+    above 2 are skipped; degrees only grow along the walk, so the search
+    stays exhaustive and the first witness is unchanged."""
     _require(g.n, MAX_SUBSET_N, "odd-hole detector")
     masks = _neighbor_masks(g)
+    if not _has_hole(masks, g.n, 5, True):
+        return None
     for subset in _subsets_lex(g.n, 5, masks, 2):
         if len(subset) % 2 == 0:
             continue
@@ -158,12 +248,15 @@ def find_antihole(g: Graph) -> StructureWitness | None:
     cycle in the complement.  Length-five antiholes are self-complementary
     five-holes and belong to the odd-hole detector.
 
-    Prefixes with a vertex of degree above 2 in the complement are skipped;
-    degrees only grow along the walk, so the search stays exhaustive and the
-    first witness is unchanged."""
+    The verdict comes from _has_hole on the complement; only a graph with an
+    antihole pays for the walk.  Prefixes with a vertex of degree above 2 in
+    the complement are skipped; degrees only grow along the walk, so the
+    search stays exhaustive and the first witness is unchanged."""
     _require(g.n, MAX_SUBSET_N, "antihole detector")
     full = (1 << g.n) - 1
     co_masks = [full & ~mask & ~(1 << v) for v, mask in enumerate(_neighbor_masks(g))]
+    if not _has_hole(co_masks, g.n, 6, False):
+        return None
     for subset in _subsets_lex(g.n, 6, co_masks, 2):
         order = _cycle_order(co_masks, subset)
         if order is not None:
@@ -216,11 +309,14 @@ def find_prism(g: Graph) -> StructureWitness | None:
     """First vertex subset inducing a prism: two disjoint triangles joined by
     three vertex-disjoint paths and nothing else.
 
-    Prefixes with a vertex of induced degree above 3 are skipped; degrees only
-    grow along the walk, so the search stays exhaustive and the first witness
-    is unchanged."""
+    The verdict comes from the connected walk of _has_prism; only a graph
+    with a prism pays for the subset walk.  Prefixes with a vertex of induced
+    degree above 3 are skipped; degrees only grow along the walk, so the
+    search stays exhaustive and the first witness is unchanged."""
     _require(g.n, MAX_SUBSET_N, "prism detector")
     masks = _neighbor_masks(g)
+    if not _has_prism(masks, g.n):
+        return None
     for subset in _subsets_lex(g.n, 6, masks, 3):
         if _prism_check(masks, subset):
             return StructureWitness(PRISM, subset)

@@ -202,6 +202,14 @@ def test_cli_generate_budget_refusal(capsys):
                  "--density", "0.3", "--seed", "0"]) == 3
 
 
+def test_cli_generate_rejects_empty_filtered_random(capsys):
+    assert main(["generate", "--family", "filtered-random", "--n", "0", "--density", "0.5",
+                 "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: filtered-random generator needs n >= 1\n"
+
+
 @pytest.mark.parametrize("density", ["-1", "1.5", "nan"])
 def test_cli_generate_rejects_density_outside_unit_interval(density, capsys):
     assert main(["generate", "--family", "chordal", "--n", "3", "--density", density,
@@ -261,7 +269,8 @@ def test_cli_bench_single_size(capsys):
     ("filtered-random", "13", 3,
      "error: filtered-random needs the detectors, capped at 12 vertices"),
     ("chordal", "1,2", 2, "error: cannot fit the scaling: the instance with n=1 has no edges"),
-], ids=["malformed", "empty", "refused-size", "budget", "edgeless-fit"])
+    ("chordal", "2,2", 2, "error: cannot fit the scaling: every instance has n^2*m = 4"),
+], ids=["malformed", "empty", "refused-size", "budget", "edgeless-fit", "constant-fit"])
 def test_cli_bench_rejects(family, sizes, code, message, capsys):
     assert main(["bench", "--family", family, "--sizes", sizes, "--seed", "1"]) == code
     captured = capsys.readouterr()

@@ -18,6 +18,7 @@ from artemis_color import (
     complement,
     contract,
     enumerate_chordless_paths,
+    filtered_random,
     find_antihole,
     find_odd_hole,
     find_prism,
@@ -30,7 +31,14 @@ from artemis_color import (
     random_graph,
 )
 
-from artemis_color.oracles import _cycle_order, _neighbor_masks, _prism_check, _subsets_lex
+from artemis_color.oracles import (
+    _cycle_order,
+    _has_hole,
+    _has_prism,
+    _neighbor_masks,
+    _prism_check,
+    _subsets_lex,
+)
 from conftest import complete_graph, cycle_graph, k3_plus_k2, path_graph, prism_graph
 
 
@@ -308,6 +316,67 @@ def test_first_witnesses_match_unpruned_walk():
             assert got == (None if expected[kind] is None else (kind, expected[kind])), (i, kind)
             found[kind] += witness is not None
     assert all(count >= 20 for count in found.values()), found
+
+
+# --- the connected searches that decide each verdict -------------------------
+
+def _verdicts(g):
+    """Each helper's verdict and the degree-capped subset walk's, per kind."""
+    masks, co_masks = _neighbor_masks(g), _neighbor_masks(complement(g))
+    return {
+        ODD_HOLE: (_has_hole(masks, g.n, 5, True),
+                   any(len(s) % 2 and _cycle_order(masks, s)
+                       for s in _subsets_lex(g.n, 5, masks, 2))),
+        ANTIHOLE: (_has_hole(co_masks, g.n, 6, False),
+                   any(_cycle_order(co_masks, s) for s in _subsets_lex(g.n, 6, co_masks, 2))),
+        PRISM: (_has_prism(masks, g.n),
+                any(_prism_check(masks, s) for s in _subsets_lex(g.n, 6, masks, 3))),
+    }
+
+
+def test_connected_searches_match_subset_walk():
+    graphs = []
+    for n in range(4, 13):
+        graphs += [filtered_random(n, 0.4, seed) for seed in range(4)]
+        for seed in range(23):
+            density = (0.2, 0.4, 0.6, 0.8)[seed % 4]
+            graphs += [chordal(n, density, seed), bipartite(n, density, seed)]
+            graphs += [random_graph(n, d, 100 * seed + n) for d in (0.3, 0.5, 0.7)]
+    assert len(graphs) >= 1000
+    present = {ODD_HOLE: 0, ANTIHOLE: 0, PRISM: 0}
+    for i, g in enumerate(graphs):
+        for kind, (fast, walk) in _verdicts(g).items():
+            assert fast == walk, (i, kind, sorted(g.edges()))
+            present[kind] += walk
+    assert all(20 <= count <= len(graphs) - 20 for count in present.values()), present
+
+
+def test_connected_searches_on_hand_built_graphs():
+    for n in (5, 7):
+        assert _has_hole(_neighbor_masks(cycle_graph(n)), n, 5, True)
+    assert not _has_hole(_neighbor_masks(cycle_graph(6)), 6, 5, True)
+    for n in (6, 7):
+        antihole = complement(cycle_graph(n))
+        assert _verdicts(antihole)[ANTIHOLE] == (True, True)
+    # Triangles {0, 1, 2} and {3, 4, 5} joined by paths of lengths 1, 2 and 3.
+    triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+    prism = new_graph(9, triangles + [(0, 3), (1, 6), (6, 4), (2, 7), (7, 8), (8, 5)])
+    assert _has_prism(_neighbor_masks(prism), 9)
+    assert find_prism(prism).vertices == tuple(range(9))
+    two_paths = new_graph(7, triangles + [(0, 3), (1, 6), (6, 4)])
+    assert not _has_prism(_neighbor_masks(two_paths), 7)
+
+
+@pytest.mark.parametrize("kind", [ODD_HOLE, ANTIHOLE, PRISM])
+def test_connected_searches_find_structures_above_low_pendants(kind):
+    # Vertices 0 and 1 are pendants, so no structure can hold them, and the
+    # searches must start at a later smallest vertex.
+    core = {ODD_HOLE: cycle_graph(7), ANTIHOLE: complement(cycle_graph(7)),
+            PRISM: prism_graph()}[kind]
+    g = new_graph(core.n + 2, [(u + 2, v + 2) for u, v in core.edges()] + [(0, 2), (1, 4)])
+    assert _verdicts(g)[kind] == (True, True)
+    witness = {ODD_HOLE: find_odd_hole, ANTIHOLE: find_antihole, PRISM: find_prism}[kind](g)
+    assert witness.kind == kind and min(witness.vertices) >= 2
 
 
 # --- chordless paths and even pairs -----------------------------------------
