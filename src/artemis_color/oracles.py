@@ -1,25 +1,22 @@
 """Exponential-time reference implementations of every structural definition.
 
-These are the trusted side of the dual-route checks: subset enumeration and
+These are the trusted side of the dual-route checks: exhaustive search and
 branch-and-bound at desk scale, used to validate the fast pipeline instance by
 instance.  Each entry point refuses inputs beyond its budget instead of
 silently running forever.
 
-Holes, antiholes and prisms are connected, so the three structure detectors
-reach their verdict by connected searches: chordless paths grown from a
-hole's smallest vertex (in the complement for antiholes), and a walk over
-connected vertex sets for prisms.  Only when a structure exists do they run
-the lexicographic subset walk that produces the witness.  That walk skips
-every prefix in which some vertex already exceeds the structure's degree
-limit: 2 for odd holes, 2 in the complement for antiholes, 3 for prisms.
-Induced degrees only grow as a subset is extended, so the walk stays
-exhaustive and the first witness is the one a walk over all subsets would
-find.  A subset with six vertices of degree 3 and the rest of degree 2 is a
-prism exactly when its degree-3 vertices split into triangles A and B such
-that the three walks leaving A by non-triangle edges end in B and, with the
-triangles, cover the subset; under those degrees each walk is a path, and
-what they miss is a cycle.
-The subset and path oracles read adjacency only from their own bitmasks.
+Holes, antiholes and prisms are connected, so each structure detector is one
+connected search: chordless paths grown from a hole's smallest vertex (in the
+complement for antiholes), and a walk over connected vertex sets for prisms.
+The witness is the structure whose sorted vertex set comes first.  A hole or
+antihole is given in cycle order, from its smallest vertex toward the smaller
+of that vertex's two hole neighbors (in the complement for antiholes); a prism
+is given as its sorted vertex set.  A set with six vertices of degree 3 and the
+rest of degree 2 is a prism exactly when its degree-3 vertices split into
+triangles A and B such that the three walks leaving A by non-triangle edges end
+in B and, with the triangles, cover the set; under those degrees each walk is a
+path, and what they miss is a cycle.
+The detectors and the path oracles read adjacency only from their own bitmasks.
 """
 
 from __future__ import annotations
@@ -34,10 +31,10 @@ ODD_HOLE = "odd_hole"
 ANTIHOLE = "antihole"
 PRISM = "prism"
 
-# Input-size caps: subset enumeration runs up to MAX_SUBSET_N vertices, branch
-# and bound (clique and chromatic number) up to MAX_BB_N.  Path enumeration
-# needs no cap of its own: a chordless path is fixed by its vertex set, so
-# MAX_SUBSET_N bounds the count by 2**MAX_SUBSET_N.
+# Input-size caps: the detectors and the path and set checks run up to
+# MAX_SUBSET_N vertices, branch and bound (clique and chromatic number) up to
+# MAX_BB_N.  Path enumeration needs no cap of its own: a chordless path is
+# fixed by its vertex set, so MAX_SUBSET_N bounds the count by 2**MAX_SUBSET_N.
 MAX_SUBSET_N = 12
 MAX_BB_N = 16
 
@@ -48,11 +45,8 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class StructureWitness:
-    """A vertex sequence exhibiting a forbidden structure.
-
-    For holes and antiholes the vertices are in cycle order (cycle order in
-    the complement for antiholes); for prisms they are the sorted subset.
-    """
+    """A vertex sequence exhibiting a forbidden structure, ordered as the
+    module docstring says."""
 
     kind: str
     vertices: tuple[int, ...]
@@ -61,6 +55,11 @@ class StructureWitness:
 def _require(value: int, cap: int, what: str) -> None:
     if value > cap:
         raise BudgetExceeded(f"{what}: size {value} exceeds the budget of {cap}")
+
+
+def _require_pair(g: Graph, x: int, y: int, what: str) -> None:
+    if x == y or not (0 <= x < g.n and 0 <= y < g.n):
+        raise GraphError(f"{what} need two distinct vertices in range")
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -83,89 +82,37 @@ def _neighbor_masks(g: Graph) -> list[int]:
     return [mask_of(g.neighbor_set(v)) for v in g.vertices]
 
 
-def _subsets_lex(n: int, min_size: int, masks: Sequence[int],
-                 cap: int) -> Iterator[tuple[int, ...]]:
-    """Subsets of 0..n-1 with at least min_size elements whose induced degrees
-    under masks are at most cap (2 or 3), in lexicographic order of their
-    sorted tuples (a prefix precedes its extensions).
+def _first_hole(masks: Sequence[int], n: int, min_len: int,
+                odd: bool) -> tuple[int, ...] | None:
+    """The first chordless cycle of at least min_len vertices under masks, of
+    odd length when odd is set (min_len is at least 4), in cycle order.
 
-    Adding a vertex never lowers a member's induced degree, so a prefix with
-    a vertex above cap is skipped together with all its extensions; every
-    other subset is yielded, in the same order as by a walk without the skip.
-    """
-    prefix: list[int] = []
-    # The prefix's members and, bit-sliced, its members of induced degree at
-    # least 1, 2 and 3; the same for every shorter prefix on the stack.
-    inside = d1 = d2 = d3 = 0
-    stack: list[tuple[int, int, int, int]] = []
-    v = 0
-    while True:
-        if v == n:
-            if not prefix:
-                return
-            v = prefix.pop() + 1
-            inside, d1, d2, d3 = stack.pop()
-            continue
-        nb = masks[v] & inside
-        k = nb.bit_count()
-        if k > cap or nb & (d2 if cap == 2 else d3):
-            v += 1
-            continue
-        stack.append((inside, d1, d2, d3))
-        bit = 1 << v
-        inside |= bit
-        d3 |= d2 & nb | (bit if k > 2 else 0)
-        d2 |= d1 & nb | (bit if k > 1 else 0)
-        d1 |= nb | (bit if k else 0)
-        prefix.append(v)
-        if len(prefix) >= min_size:
-            yield tuple(prefix)
-        v += 1
-
-
-def _cycle_order(masks: Sequence[int], subset: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Cycle order of the subset if it induces a chordless cycle, else None."""
-    smask = mask_of(subset)
-    for v in subset:
-        if (masks[v] & smask).bit_count() != 2:
-            return None
-    start = subset[0]
-    first = masks[start] & smask
-    order = [start]
-    prev, cur = start, (first & -first).bit_length() - 1
-    while cur != start:
-        order.append(cur)
-        prev, cur = cur, (masks[cur] & smask & ~(1 << prev)).bit_length() - 1
-    if len(order) != len(subset):
-        return None  # two-regular but disconnected: a union of shorter cycles
-    return tuple(order)
-
-
-def _has_hole(masks: Sequence[int], n: int, min_len: int, odd: bool) -> bool:
-    """True when masks induce a chordless cycle of at least min_len vertices,
-    of odd length when odd is set (min_len is at least 4).
-
-    A hole is found from its smallest vertex v and the smaller a of v's two
-    hole neighbors: a chordless path grows from a through vertices above v
-    outside N[v], and closes at a neighbor b > a of v that sees no path
-    vertex but the last."""
+    Every hole is found once, from its smallest vertex v and the smaller a of
+    v's two hole neighbors: a chordless path grows from a through vertices
+    above v outside N[v], and closes at a neighbor b > a of v that sees no
+    path vertex but the last.  The search pops the largest extension first,
+    so it keeps every hole through v and returns the first by sorted vertex
+    set, as (v, a, ..., b)."""
     for v in range(n):
         above = -(2 << v)
         inner = above & ~masks[v]
+        holes: list[tuple[int, ...]] = []
         for a in iter_bits(masks[v] & above):
             ends = masks[v] & -(2 << a)
-            # Each entry: the path's last vertex, the path with the
-            # neighborhoods of all but its last vertex, and its vertex count.
-            stack = [(a, 1 << a, 1)]
+            # Each entry: the path, and the path with the neighborhoods of
+            # all but its last vertex.
+            stack = [((a,), 1 << a)]
             while stack:
-                last, seen, k = stack.pop()
-                step = masks[last] & ~seen
-                if k + 2 >= min_len and (not odd or k % 2) and step & ends:
-                    return True
-                seen |= masks[last]
+                path, seen = stack.pop()
+                step = masks[path[-1]] & ~seen
+                if len(path) + 2 >= min_len and (not odd or len(path) % 2):
+                    holes += [(v,) + path + (b,) for b in iter_bits(step & ends)]
+                seen |= masks[path[-1]]
                 for w in iter_bits(step & inner):
-                    stack.append((w, seen | 1 << w, k + 1))
-    return False
+                    stack.append((path + (w,), seen | 1 << w))
+        if holes:
+            return min(holes, key=sorted)
+    return None
 
 
 def _one_edge(masks: Sequence[int], trio: int) -> bool:
@@ -178,8 +125,8 @@ def _one_edge(masks: Sequence[int], trio: int) -> bool:
             + (masks[q.bit_length() - 1] & r).bit_count()) == 1
 
 
-def _has_prism(masks: Sequence[int], n: int) -> bool:
-    """True when masks induce a prism.
+def _first_prism(masks: Sequence[int], n: int) -> tuple[int, ...] | None:
+    """The first vertex set inducing a prism under masks, sorted.
 
     An ESU walk (Wernicke, 2006) grows every connected vertex set once, from
     its smallest vertex.  It skips a set together with its extensions once a
@@ -187,10 +134,12 @@ def _has_prism(masks: Sequence[int], n: int) -> bool:
     neighbors spanning other than one edge: a prism's degree-3 vertex sees
     its two triangle mates and one vertex adjacent to neither, and the degree
     cap keeps those neighbors in every extension.  A set whose degrees fit a
-    prism goes to _prism_check."""
+    prism goes to _prism_check; the walk keeps every prism whose smallest
+    vertex is v and returns the first of them."""
+    prisms: list[tuple[int, ...]] = []
 
     def grow(sub: int, ext: int, near: int, d1: int, d2: int, d3: int,
-             floor: int) -> bool:
+             floor: int) -> None:
         while ext:
             low = ext & -ext
             ext ^= low
@@ -208,60 +157,35 @@ def _has_prism(masks: Sequence[int], n: int) -> bool:
                 continue
             e2 = d2 | d1 & nb | (low if k > 1 else 0)
             e1 = d1 | nb | (low if k else 0)
-            if (e2 == grown and e3.bit_count() == 6
-                    and _prism_check(masks, tuple(iter_bits(grown)))):
-                return True
-            if grow(grown, ext | masks[w] & ~near & floor, near | masks[w],
-                    e1, e2, e3, floor):
-                return True
-        return False
+            if e2 == grown and e3.bit_count() == 6:
+                subset = tuple(iter_bits(grown))
+                if _prism_check(masks, subset):
+                    prisms.append(subset)
+            grow(grown, ext | masks[w] & ~near & floor, near | masks[w],
+                 e1, e2, e3, floor)
 
     for v in range(n):
         floor = -(2 << v)
-        if grow(1 << v, masks[v] & floor, masks[v] | 1 << v, 0, 0, 0, floor):
-            return True
-    return False
+        grow(1 << v, masks[v] & floor, masks[v] | 1 << v, 0, 0, 0, floor)
+        if prisms:
+            return min(prisms)
+    return None
 
 
 def find_odd_hole(g: Graph) -> StructureWitness | None:
-    """First chordless odd cycle of length at least five, by subset enumeration.
-
-    The verdict comes from the path search of _has_hole; only a graph with an
-    odd hole pays for the walk.  Prefixes with a vertex of induced degree
-    above 2 are skipped; degrees only grow along the walk, so the search
-    stays exhaustive and the first witness is unchanged."""
+    """First chordless odd cycle of length at least five."""
     _require(g.n, MAX_SUBSET_N, "odd-hole detector")
-    masks = _neighbor_masks(g)
-    if not _has_hole(masks, g.n, 5, True):
-        return None
-    for subset in _subsets_lex(g.n, 5, masks, 2):
-        if len(subset) % 2 == 0:
-            continue
-        order = _cycle_order(masks, subset)
-        if order is not None:
-            return StructureWitness(ODD_HOLE, order)
-    return None
+    hole = _first_hole(_neighbor_masks(g), g.n, 5, True)
+    return None if hole is None else StructureWitness(ODD_HOLE, hole)
 
 
 def find_antihole(g: Graph) -> StructureWitness | None:
-    """First antihole of length at least six: a subset inducing a chordless
-    cycle in the complement.  Length-five antiholes are self-complementary
-    five-holes and belong to the odd-hole detector.
-
-    The verdict comes from _has_hole on the complement; only a graph with an
-    antihole pays for the walk.  Prefixes with a vertex of degree above 2 in
-    the complement are skipped; degrees only grow along the walk, so the
-    search stays exhaustive and the first witness is unchanged."""
+    """First antihole of length at least six; a five-antihole is a five-hole."""
     _require(g.n, MAX_SUBSET_N, "antihole detector")
     full = (1 << g.n) - 1
     co_masks = [full & ~mask & ~(1 << v) for v, mask in enumerate(_neighbor_masks(g))]
-    if not _has_hole(co_masks, g.n, 6, False):
-        return None
-    for subset in _subsets_lex(g.n, 6, co_masks, 2):
-        order = _cycle_order(co_masks, subset)
-        if order is not None:
-            return StructureWitness(ANTIHOLE, order)
-    return None
+    hole = _first_hole(co_masks, g.n, 6, False)
+    return None if hole is None else StructureWitness(ANTIHOLE, hole)
 
 
 def _walks_join(masks: Sequence[int], smask: int, tri_a: tuple[int, ...],
@@ -306,21 +230,10 @@ def _prism_check(masks: Sequence[int], subset: tuple[int, ...]) -> bool:
 
 
 def find_prism(g: Graph) -> StructureWitness | None:
-    """First vertex subset inducing a prism: two disjoint triangles joined by
-    three vertex-disjoint paths and nothing else.
-
-    The verdict comes from the connected walk of _has_prism; only a graph
-    with a prism pays for the subset walk.  Prefixes with a vertex of induced
-    degree above 3 are skipped; degrees only grow along the walk, so the
-    search stays exhaustive and the first witness is unchanged."""
+    """First prism: two disjoint triangles joined by three disjoint paths."""
     _require(g.n, MAX_SUBSET_N, "prism detector")
-    masks = _neighbor_masks(g)
-    if not _has_prism(masks, g.n):
-        return None
-    for subset in _subsets_lex(g.n, 6, masks, 3):
-        if _prism_check(masks, subset):
-            return StructureWitness(PRISM, subset)
-    return None
+    prism = _first_prism(_neighbor_masks(g), g.n)
+    return None if prism is None else StructureWitness(PRISM, prism)
 
 
 def is_artemis(g: Graph) -> tuple[bool, StructureWitness | None]:
@@ -338,8 +251,7 @@ def enumerate_chordless_paths(g: Graph, x: int, y: int) -> list[tuple[int, ...]]
     """All chordless paths from x to y, depth-first with the prune that a new
     vertex may only be adjacent to the current last path vertex."""
     _require(g.n, MAX_SUBSET_N, "chordless-path enumeration")
-    if x == y or not (0 <= x < g.n and 0 <= y < g.n):
-        raise GraphError("chordless paths need two distinct vertices in range")
+    _require_pair(g, x, y, "chordless paths")
     masks = _neighbor_masks(g)
     result: list[tuple[int, ...]] = []
     path = [x]
@@ -361,6 +273,7 @@ def enumerate_chordless_paths(g: Graph, x: int, y: int) -> list[tuple[int, ...]]
 def is_even_pair_exact(g: Graph, x: int, y: int) -> bool:
     """True when every chordless path between the non-adjacent pair has even
     length; vacuously true when no path exists."""
+    _require_pair(g, x, y, "even pairs")
     if g.adjacent(x, y):
         raise GraphError("even pairs are defined for non-adjacent vertices")
     paths = enumerate_chordless_paths(g, x, y)

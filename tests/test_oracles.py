@@ -10,6 +10,7 @@ from artemis_color import (
     PRISM,
     BudgetExceeded,
     GraphError,
+    StructureWitness,
     bipartite,
     brute_maximal_interesting_check,
     brute_minimal_outer_path_check,
@@ -31,14 +32,7 @@ from artemis_color import (
     random_graph,
 )
 
-from artemis_color.oracles import (
-    _cycle_order,
-    _has_hole,
-    _has_prism,
-    _neighbor_masks,
-    _prism_check,
-    _subsets_lex,
-)
+from artemis_color.oracles import _neighbor_masks, _prism_check, mask_of
 from conftest import complete_graph, cycle_graph, k3_plus_k2, path_graph, prism_graph
 
 
@@ -262,7 +256,10 @@ def test_witnesses_reverify():
     assert all(count > 0 for count in seen.values())
 
 
-# --- the degree-capped subset walk against an unpruned one -------------------
+# --- the connected searches against a walk over every subset ---------------
+
+DETECTORS = {ODD_HOLE: find_odd_hole, ANTIHOLE: find_antihole, PRISM: find_prism}
+
 
 def _all_subsets_preorder(n):
     # Sorted tuples: lexicographic order, with a prefix before its extensions.
@@ -274,22 +271,44 @@ def _first_witness(subsets, min_size, check):
                  if w is not None), None)
 
 
-def _max_induced_degree(masks, subset):
-    inside = sum(1 << v for v in subset)
-    return max((masks[v] & inside).bit_count() for v in subset)
+def _cycle_order(masks, subset):
+    """Cycle order of the subset from its smallest vertex toward that vertex's
+    smaller neighbor in the subset if it induces a chordless cycle, else None."""
+    smask = mask_of(subset)
+    for v in subset:
+        if (masks[v] & smask).bit_count() != 2:
+            return None
+    start = subset[0]
+    first = masks[start] & smask
+    order = [start]
+    prev, cur = start, (first & -first).bit_length() - 1
+    while cur != start:
+        order.append(cur)
+        prev, cur = cur, (masks[cur] & smask & ~(1 << prev)).bit_length() - 1
+    if len(order) != len(subset):
+        return None  # two-regular but disconnected: a union of shorter cycles
+    return tuple(order)
 
 
-def test_subset_walk_yields_exactly_the_cap_respecting_subsets():
-    rng = random.Random(24)
-    for _ in range(120):
-        n = rng.randrange(1, 11)
-        g = random_graph(n, rng.uniform(0.1, 0.9), rng.randrange(10**6))
-        subsets = _all_subsets_preorder(n)
-        for masks in (_neighbor_masks(g), _neighbor_masks(complement(g))):
-            for cap, min_size in ((2, 5), (2, 6), (3, 1), (3, 6)):
-                expected = [s for s in subsets if len(s) >= min_size
-                            and _max_induced_degree(masks, s) <= cap]
-                assert list(_subsets_lex(n, min_size, masks, cap)) == expected
+def _walk_witnesses(g, subsets):
+    """Per kind, the first witness of a walk over every subset of g in
+    lexicographic order, as (kind, vertices), or None."""
+    masks, co_masks = _neighbor_masks(g), _neighbor_masks(complement(g))
+    checks = {
+        ODD_HOLE: (5, lambda s: _cycle_order(masks, s) if len(s) % 2 else None),
+        ANTIHOLE: (6, lambda s: _cycle_order(co_masks, s)),
+        PRISM: (6, lambda s: s if _prism_check(masks, s) else None),
+    }
+    result = {}
+    for kind, (min_size, check) in checks.items():
+        witness = _first_witness(subsets, min_size, check)
+        result[kind] = None if witness is None else (kind, witness)
+    return result
+
+
+def _detected(g):
+    witnesses = {kind: detector(g) for kind, detector in DETECTORS.items()}
+    return {kind: None if w is None else (w.kind, w.vertices) for kind, w in witnesses.items()}
 
 
 def test_first_witnesses_match_unpruned_walk():
@@ -301,37 +320,11 @@ def test_first_witnesses_match_unpruned_walk():
     for i in range(320):
         n = 5 + i % 8
         g = random_graph(n, rng.uniform(0.2, 0.85), rng.randrange(10**6))
-        masks, co_masks = _neighbor_masks(g), _neighbor_masks(complement(g))
-        expected = {
-            ODD_HOLE: _first_witness(preorder[n], 5, lambda s: _cycle_order(masks, s)
-                                     if len(s) % 2 else None),
-            ANTIHOLE: _first_witness(preorder[n], 6, lambda s: _cycle_order(co_masks, s)),
-            PRISM: _first_witness(preorder[n], 6, lambda s: s if _prism_check(masks, s)
-                                  else None),
-        }
-        for kind, detector in ((ODD_HOLE, find_odd_hole), (ANTIHOLE, find_antihole),
-                               (PRISM, find_prism)):
-            witness = detector(g)
-            got = None if witness is None else (witness.kind, witness.vertices)
-            assert got == (None if expected[kind] is None else (kind, expected[kind])), (i, kind)
-            found[kind] += witness is not None
+        got, expected = _detected(g), _walk_witnesses(g, preorder[n])
+        for kind in DETECTORS:
+            assert got[kind] == expected[kind], (i, kind)
+            found[kind] += got[kind] is not None
     assert all(count >= 20 for count in found.values()), found
-
-
-# --- the connected searches that decide each verdict -------------------------
-
-def _verdicts(g):
-    """Each helper's verdict and the degree-capped subset walk's, per kind."""
-    masks, co_masks = _neighbor_masks(g), _neighbor_masks(complement(g))
-    return {
-        ODD_HOLE: (_has_hole(masks, g.n, 5, True),
-                   any(len(s) % 2 and _cycle_order(masks, s)
-                       for s in _subsets_lex(g.n, 5, masks, 2))),
-        ANTIHOLE: (_has_hole(co_masks, g.n, 6, False),
-                   any(_cycle_order(co_masks, s) for s in _subsets_lex(g.n, 6, co_masks, 2))),
-        PRISM: (_has_prism(masks, g.n),
-                any(_prism_check(masks, s) for s in _subsets_lex(g.n, 6, masks, 3))),
-    }
 
 
 def test_connected_searches_match_subset_walk():
@@ -343,28 +336,28 @@ def test_connected_searches_match_subset_walk():
             graphs += [chordal(n, density, seed), bipartite(n, density, seed)]
             graphs += [random_graph(n, d, 100 * seed + n) for d in (0.3, 0.5, 0.7)]
     assert len(graphs) >= 1000
+    preorder = {n: _all_subsets_preorder(n) for n in range(4, 13)}
     present = {ODD_HOLE: 0, ANTIHOLE: 0, PRISM: 0}
     for i, g in enumerate(graphs):
-        for kind, (fast, walk) in _verdicts(g).items():
-            assert fast == walk, (i, kind, sorted(g.edges()))
-            present[kind] += walk
+        got, expected = _detected(g), _walk_witnesses(g, preorder[g.n])
+        for kind in DETECTORS:
+            assert got[kind] == expected[kind], (i, kind, sorted(g.edges()))
+            present[kind] += expected[kind] is not None
     assert all(20 <= count <= len(graphs) - 20 for count in present.values()), present
 
 
 def test_connected_searches_on_hand_built_graphs():
     for n in (5, 7):
-        assert _has_hole(_neighbor_masks(cycle_graph(n)), n, 5, True)
-    assert not _has_hole(_neighbor_masks(cycle_graph(6)), 6, 5, True)
+        assert find_odd_hole(cycle_graph(n)).vertices == tuple(range(n))
+    assert find_odd_hole(cycle_graph(6)) is None
     for n in (6, 7):
-        antihole = complement(cycle_graph(n))
-        assert _verdicts(antihole)[ANTIHOLE] == (True, True)
+        assert find_antihole(complement(cycle_graph(n))).vertices == tuple(range(n))
     # Triangles {0, 1, 2} and {3, 4, 5} joined by paths of lengths 1, 2 and 3.
     triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
     prism = new_graph(9, triangles + [(0, 3), (1, 6), (6, 4), (2, 7), (7, 8), (8, 5)])
-    assert _has_prism(_neighbor_masks(prism), 9)
     assert find_prism(prism).vertices == tuple(range(9))
     two_paths = new_graph(7, triangles + [(0, 3), (1, 6), (6, 4)])
-    assert not _has_prism(_neighbor_masks(two_paths), 7)
+    assert find_prism(two_paths) is None
 
 
 @pytest.mark.parametrize("kind", [ODD_HOLE, ANTIHOLE, PRISM])
@@ -374,9 +367,29 @@ def test_connected_searches_find_structures_above_low_pendants(kind):
     core = {ODD_HOLE: cycle_graph(7), ANTIHOLE: complement(cycle_graph(7)),
             PRISM: prism_graph()}[kind]
     g = new_graph(core.n + 2, [(u + 2, v + 2) for u, v in core.edges()] + [(0, 2), (1, 4)])
-    assert _verdicts(g)[kind] == (True, True)
-    witness = {ODD_HOLE: find_odd_hole, ANTIHOLE: find_antihole, PRISM: find_prism}[kind](g)
-    assert witness.kind == kind and min(witness.vertices) >= 2
+    witness = _detected(g)[kind]
+    assert witness == _walk_witnesses(g, _all_subsets_preorder(g.n))[kind]
+    assert witness is not None and min(witness[1]) >= 2
+
+
+# Two structures share the smallest vertex 0.  The hole search pops the
+# largest extension first, and the prism walk adds 0's neighbor 2 before its
+# non-neighbor 1, so each meets the second structure first; the witness is
+# still the one whose sorted vertex set comes first.
+_TWO_HOLES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 5), (5, 6), (6, 7), (7, 0)]
+_TWO_LONG_HOLES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0),
+                   (1, 6), (6, 7), (7, 8), (8, 9), (9, 0)]
+_TWO_PRISMS = [(0, 3), (3, 4), (0, 4), (1, 5), (5, 6), (1, 6), (0, 5), (3, 1), (4, 6),
+               (0, 2), (2, 7), (0, 7), (8, 9), (9, 10), (8, 10), (0, 8), (2, 9), (7, 10)]
+
+
+@pytest.mark.parametrize("kind, graph, expected", [
+    (ODD_HOLE, new_graph(8, _TWO_HOLES), (0, 1, 2, 3, 4)),
+    (ANTIHOLE, complement(new_graph(10, _TWO_LONG_HOLES)), (0, 1, 2, 3, 4, 5)),
+    (PRISM, new_graph(11, _TWO_PRISMS), (0, 1, 3, 4, 5, 6)),
+])
+def test_witness_is_first_by_vertex_set_not_first_met(kind, graph, expected):
+    assert DETECTORS[kind](graph) == StructureWitness(kind, expected)
 
 
 # --- chordless paths and even pairs -----------------------------------------
@@ -407,6 +420,13 @@ def test_even_pair_disconnected_is_vacuous():
 def test_even_pair_rejects_adjacent():
     with pytest.raises(GraphError):
         is_even_pair_exact(path_graph(2), 0, 1)
+
+
+@pytest.mark.parametrize("check", [is_even_pair_exact, is_special_even_pair_exact])
+@pytest.mark.parametrize("x, y", [(5, 0), (-1, 3), (2, 2)])
+def test_even_pair_rejects_pairs_out_of_range(check, x, y):
+    with pytest.raises(GraphError, match="two distinct vertices in range"):
+        check(path_graph(5), x, y)
 
 
 def test_even_pair_is_symmetric():
