@@ -11,6 +11,7 @@ n^2*m or n*m in a fit),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -153,7 +154,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no state
+    in it, and a caller that runs main many times in one process pays for the
+    tree of subparsers once."""
     parser = argparse.ArgumentParser(
         prog="artemis-color",
         description="Optimal coloring of Artemis graphs by even-pair contraction.")
@@ -187,8 +192,11 @@ def main(argv: list[str] | None = None) -> int:
                          help="comma-separated instance sizes, e.g. 50,100,200,400")
     p_bench.add_argument("--seed", type=int, required=True)
     p_bench.set_defaults(func=_cmd_bench)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -8,14 +8,16 @@ silently running forever.
 Holes, antiholes and prisms are connected, so each structure detector is one
 connected search: chordless paths grown from a hole's smallest vertex (in the
 complement for antiholes), and a walk over connected vertex sets for prisms.
-The witness is the structure whose sorted vertex set comes first.  A hole or
-antihole is given in cycle order, from its smallest vertex toward the smaller
-of that vertex's two hole neighbors (in the complement for antiholes); a prism
-is given as its sorted vertex set.  A set with six vertices of degree 3 and the
-rest of degree 2 is a prism exactly when its degree-3 vertices split into
-triangles A and B such that the three walks leaving A by non-triangle edges end
-in B and, with the triangles, cover the set; under those degrees each walk is a
-path, and what they miss is a cycle.
+The same searches rooted at one vertex find the structures through it, which
+is all ``is_artemis`` needs to search when the rest of the graph is known to
+be in the class.  The witness is the structure whose sorted vertex set comes
+first.  A hole or antihole is given in cycle order, from its smallest vertex
+toward the smaller of that vertex's two hole neighbors (in the complement for
+antiholes); a prism is given as its sorted vertex set.  A set with six
+vertices of degree 3 and the rest of degree 2 is a prism exactly when its
+degree-3 vertices split into triangles A and B such that the three walks
+leaving A by non-triangle edges end in B and, with the triangles, cover the
+set; under those degrees each walk is a path, and what they miss is a cycle.
 The detectors and the path oracles read adjacency only from their own bitmasks.
 """
 
@@ -82,22 +84,35 @@ def _neighbor_masks(g: Graph) -> list[int]:
     return [mask_of(g.neighbor_set(v)) for v in g.vertices]
 
 
-def _first_hole(masks: Sequence[int], n: int, min_len: int,
-                odd: bool) -> tuple[int, ...] | None:
-    """The first chordless cycle of at least min_len vertices under masks, of
-    odd length when odd is set (min_len is at least 4), in cycle order.
+# (root, floor) pairs: a search from a root walks only the floor's vertices.
+Starts = Sequence[tuple[int, int]]
 
-    Every hole is found once, from its smallest vertex v and the smaller a of
-    v's two hole neighbors: a chordless path grows from a through vertices
-    above v outside N[v], and closes at a neighbor b > a of v that sees no
-    path vertex but the last.  The search pops the largest extension first,
-    so it keeps every hole through v and returns the first by sorted vertex
-    set, as (v, a, ..., b)."""
-    for v in range(n):
-        above = -(2 << v)
-        inner = above & ~masks[v]
+
+def _starts(n: int, through: int | None = None) -> list[tuple[int, int]]:
+    """Every vertex v with the vertices above v, which meets each structure
+    once, at its smallest vertex; or the one vertex through with every other
+    vertex, which meets each structure through it once."""
+    if through is None:
+        return [(v, -(2 << v)) for v in range(n)]
+    return [(through, ~(1 << through))]
+
+
+def _first_hole(masks: Sequence[int], starts: Starts, min_len: int,
+                odd: bool) -> tuple[int, ...] | None:
+    """The first chordless cycle of at least min_len vertices under masks
+    through a root of starts, of odd length when odd is set (min_len is at
+    least 4), in cycle order.
+
+    Every hole through a root v is found once, from the smaller a of v's two
+    hole neighbors: a chordless path grows from a through floor vertices
+    outside N[v], and closes at a neighbor b > a of v that sees no path vertex
+    but the last.  The search pops the largest extension first, so it keeps
+    every hole through v and returns the first by sorted vertex set, as
+    (v, a, ..., b)."""
+    for v, floor in starts:
+        inner = floor & ~masks[v]
         holes: list[tuple[int, ...]] = []
-        for a in iter_bits(masks[v] & above):
+        for a in iter_bits(masks[v] & floor):
             ends = masks[v] & -(2 << a)
             # Each entry: the path, and the path with the neighborhoods of
             # all but its last vertex.
@@ -125,17 +140,18 @@ def _one_edge(masks: Sequence[int], trio: int) -> bool:
             + (masks[q.bit_length() - 1] & r).bit_count()) == 1
 
 
-def _first_prism(masks: Sequence[int], n: int) -> tuple[int, ...] | None:
-    """The first vertex set inducing a prism under masks, sorted.
+def _first_prism(masks: Sequence[int], starts: Starts) -> tuple[int, ...] | None:
+    """The first vertex set inducing a prism under masks through a root of
+    starts, sorted.
 
-    An ESU walk (Wernicke, 2006) grows every connected vertex set once, from
-    its smallest vertex.  It skips a set together with its extensions once a
-    member's induced degree exceeds 3, or once a member of degree 3 has
-    neighbors spanning other than one edge: a prism's degree-3 vertex sees
-    its two triangle mates and one vertex adjacent to neither, and the degree
-    cap keeps those neighbors in every extension.  A set whose degrees fit a
-    prism goes to _prism_check; the walk keeps every prism whose smallest
-    vertex is v and returns the first of them."""
+    An ESU walk (Wernicke, 2006) grows every connected set of a root and its
+    floor vertices that holds the root once.  It skips a set together with its
+    extensions once a member's induced degree exceeds 3, or once a member of
+    degree 3 has neighbors spanning other than one edge: a prism's degree-3
+    vertex sees its two triangle mates and one vertex adjacent to neither, and
+    the degree cap keeps those neighbors in every extension.  A set whose
+    degrees fit a prism goes to _prism_check; the walk keeps every prism it
+    finds from a root and returns the first of them."""
     prisms: list[tuple[int, ...]] = []
 
     def grow(sub: int, ext: int, near: int, d1: int, d2: int, d3: int,
@@ -164,28 +180,11 @@ def _first_prism(masks: Sequence[int], n: int) -> tuple[int, ...] | None:
             grow(grown, ext | masks[w] & ~near & floor, near | masks[w],
                  e1, e2, e3, floor)
 
-    for v in range(n):
-        floor = -(2 << v)
+    for v, floor in starts:
         grow(1 << v, masks[v] & floor, masks[v] | 1 << v, 0, 0, 0, floor)
         if prisms:
             return min(prisms)
     return None
-
-
-def find_odd_hole(g: Graph) -> StructureWitness | None:
-    """First chordless odd cycle of length at least five."""
-    _require(g.n, MAX_SUBSET_N, "odd-hole detector")
-    hole = _first_hole(_neighbor_masks(g), g.n, 5, True)
-    return None if hole is None else StructureWitness(ODD_HOLE, hole)
-
-
-def find_antihole(g: Graph) -> StructureWitness | None:
-    """First antihole of length at least six; a five-antihole is a five-hole."""
-    _require(g.n, MAX_SUBSET_N, "antihole detector")
-    full = (1 << g.n) - 1
-    co_masks = [full & ~mask & ~(1 << v) for v, mask in enumerate(_neighbor_masks(g))]
-    hole = _first_hole(co_masks, g.n, 6, False)
-    return None if hole is None else StructureWitness(ANTIHOLE, hole)
 
 
 def _walks_join(masks: Sequence[int], smask: int, tri_a: tuple[int, ...],
@@ -229,21 +228,62 @@ def _prism_check(masks: Sequence[int], subset: tuple[int, ...]) -> bool:
     return False
 
 
-def find_prism(g: Graph) -> StructureWitness | None:
-    """First prism: two disjoint triangles joined by three disjoint paths."""
-    _require(g.n, MAX_SUBSET_N, "prism detector")
-    prism = _first_prism(_neighbor_masks(g), g.n)
+def _odd_hole(masks: Sequence[int], starts: Starts) -> StructureWitness | None:
+    hole = _first_hole(masks, starts, 5, True)
+    return None if hole is None else StructureWitness(ODD_HOLE, hole)
+
+
+def _antihole(masks: Sequence[int], starts: Starts) -> StructureWitness | None:
+    full = (1 << len(masks)) - 1
+    co_masks = [full & ~mask & ~(1 << v) for v, mask in enumerate(masks)]
+    hole = _first_hole(co_masks, starts, 6, False)
+    return None if hole is None else StructureWitness(ANTIHOLE, hole)
+
+
+def _prism(masks: Sequence[int], starts: Starts) -> StructureWitness | None:
+    prism = _first_prism(masks, starts)
     return None if prism is None else StructureWitness(PRISM, prism)
 
 
-def is_artemis(g: Graph) -> tuple[bool, StructureWitness | None]:
+def find_odd_hole(g: Graph) -> StructureWitness | None:
+    """First chordless odd cycle of length at least five."""
+    _require(g.n, MAX_SUBSET_N, "odd-hole detector")
+    return _odd_hole(_neighbor_masks(g), _starts(g.n))
+
+
+def find_antihole(g: Graph) -> StructureWitness | None:
+    """First antihole of length at least six; a five-antihole is a five-hole."""
+    _require(g.n, MAX_SUBSET_N, "antihole detector")
+    return _antihole(_neighbor_masks(g), _starts(g.n))
+
+
+def find_prism(g: Graph) -> StructureWitness | None:
+    """First prism: two disjoint triangles joined by three disjoint paths."""
+    _require(g.n, MAX_SUBSET_N, "prism detector")
+    return _prism(_neighbor_masks(g), _starts(g.n))
+
+
+def _first_structure(masks: Sequence[int], starts: Starts) -> StructureWitness | None:
+    return _odd_hole(masks, starts) or _antihole(masks, starts) or _prism(masks, starts)
+
+
+def is_artemis(g: Graph, *, through: int | None = None) -> tuple[bool, StructureWitness | None]:
     """Class membership: no odd hole, no antihole of length five or more, no
-    prism.  Returns the verdict with the first witness found, if any."""
-    witness = find_odd_hole(g)
-    if witness is None:
-        witness = find_antihole(g)
-    if witness is None:
-        witness = find_prism(g)
+    prism.  Returns the verdict with the first witness, odd holes before
+    antiholes before prisms, if any.
+
+    With ``through``, the caller promises that g minus that vertex is in the
+    class.  The class is closed under induced subgraphs, so only structures
+    through that vertex can be left; the scan searches those first and runs
+    in full only when it finds one, so the result is that of ``is_artemis(g)``."""
+    _require(g.n, MAX_SUBSET_N, "class scan")
+    masks = _neighbor_masks(g)
+    if through is not None:
+        if not 0 <= through < g.n:
+            raise GraphError("the class scan needs its through vertex in range")
+        if _first_structure(masks, _starts(g.n, through)) is None:
+            return True, None
+    witness = _first_structure(masks, _starts(g.n))
     return witness is None, witness
 
 
@@ -357,6 +397,8 @@ def is_interesting_set(g: Graph, tset: Iterable[int]) -> bool:
     """Nonempty, connected in the complement, and with a complete neighborhood
     that is not a clique."""
     members = set(tset)
+    if not all(0 <= v < g.n for v in members):
+        raise GraphError("interesting sets need vertices in range")
     if not members:
         return False
     seed = min(members)

@@ -9,6 +9,13 @@ The oracles run on dense :class:`Graph` copies.  The verifier keeps one dense
 replica of the engine's working graph, built at the first level of a run that
 fits the oracle budget and advanced with :func:`graphs.contract` at every
 contraction, and materializes smaller levels with :func:`graphs.induced`.
+
+Each contracted replica gets one class scan, :func:`oracles.is_artemis`.  It
+passes ``through``, the merged vertex, only when the replica before the merge
+passed its own scan: the class is closed under induced subgraphs, and the
+contracted replica minus the merged vertex is the replica before minus the
+pair, so that is ``through``'s precondition.  A replica built from scratch
+counts as unscanned, and its first contraction gets the full scan.
 """
 
 from __future__ import annotations
@@ -59,10 +66,12 @@ class OracleVerifier(PipelineObserver):
     checks: Counter = field(default_factory=Counter)
     failures: list[str] = field(default_factory=list)
     # The graph of the current run, its dense replica (None while the whole
-    # graph exceeds the budget) and the replica id of each of its vertices.
+    # graph exceeds the budget), the replica id of each of its vertices, and
+    # whether the replica passed its last class scan.
     _source: WorkingGraph | Graph | None = field(default=None, init=False, repr=False)
     _dense: Graph | None = field(default=None, init=False, repr=False)
     _local: dict[int, int] = field(default_factory=dict, init=False, repr=False)
+    _in_class: bool = field(default=False, init=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -81,6 +90,7 @@ class OracleVerifier(PipelineObserver):
         if self._dense is None:
             self._dense, old_ids = induced(g, g.vertices)
             self._local = {old: new for new, old in enumerate(old_ids)}
+            self._in_class = False
         return self._dense, self._local
 
     def interesting(self, g: WorkingGraph, domain: frozenset[int],
@@ -147,7 +157,8 @@ class OracleVerifier(PipelineObserver):
         self._source, self._dense = g, after
         self._local = {v: i for i, v in enumerate(g.vertices)}
         even = is_even_pair_exact(before, da, db)
-        ok, witness = is_artemis(after)
+        ok, witness = is_artemis(after, through=min(da, db) if self._in_class else None)
+        self._in_class = ok
         # Special means even with a prism-free contraction; the class scan
         # already settles the prism question unless it stopped at an odd hole
         # or an antihole first.

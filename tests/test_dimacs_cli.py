@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from artemis_color import Coloring, color_artemis, complement, generate, new_graph, random_graph
-from artemis_color.cli import main
+from artemis_color.cli import _parser, main
 from artemis_color.dimacs import DimacsError, parse_dimacs, write_coloring, write_dimacs
 
 from conftest import cycle_graph, prism_graph
@@ -254,6 +254,33 @@ def test_cli_trace_json_unwritable_path(chordal_file, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: cannot write trace: ")
     assert captured.out == "" and not target.exists()
+
+
+def test_cli_parser_built_once_carries_no_state(chordal_file, tmp_path, capsys):
+    # main builds its parser once per process; each run after another gives
+    # what it gives right after a fresh build, so no option of a run sticks.
+    trace = tmp_path / "trace.json"
+    runs = [["color", "--verify", "--trace-json", str(trace), str(chordal_file)],
+            ["color", str(chordal_file)],
+            ["detect", str(chordal_file)]]
+
+    def outcome(argv):
+        trace.unlink(missing_ok=True)
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, trace.exists()
+
+    _parser.cache_clear()
+    in_one_process = [outcome(argv) for argv in runs]
+    assert _parser.cache_info().misses == 1
+    fresh = []
+    for argv in runs:
+        _parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert in_one_process == fresh
+    assert [code for code, *_ in fresh] == [0, 0, 0]
+    assert [wrote for *_, wrote in fresh] == [True, False, False]
+    assert "oracle checks passed" in fresh[0][2] and fresh[1][2] == ""
 
 
 def test_cli_bench_single_size(capsys):

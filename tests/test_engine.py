@@ -482,6 +482,24 @@ def test_in_place_driver_feeds_verifier_like_reference():
     assert not verifier.failures and not ref_verifier.failures
 
 
+@pytest.mark.parametrize("n, seed", [(8, 18), (9, 1)])
+def test_verifier_reused_for_a_second_run_checks_like_a_fresh_one(n, seed):
+    # The second input is outside the class and its first contracted graph
+    # keeps a structure away from the merged vertex, so a verifier that
+    # carried "the last scan passed" over from the first run would scan only
+    # through that vertex and miss it.
+    bad = random_graph(n, 0.5, seed)
+    fresh, reused = OracleVerifier(), OracleVerifier()
+    color_artemis(bad, observer=fresh)
+    color_artemis(bipartite(12, 0.3, 5), observer=reused)
+    assert reused.ok and reused.checks["class_preserved"] > 0
+    checks_before = reused.checks.copy()
+    color_artemis(bad, observer=reused)
+    assert any(f.startswith("class_preserved: ") for f in fresh.failures)
+    assert reused.checks - checks_before == fresh.checks
+    assert reused.failures == fresh.failures
+
+
 def test_in_place_contract_matches_dense_replay():
     """Chains of 1-5 merges on a working graph: after each one every neighbor
     set is symmetric and live, and the graph equals the dense replay."""

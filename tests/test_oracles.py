@@ -24,8 +24,10 @@ from artemis_color import (
     find_odd_hole,
     find_prism,
     fonlupt_uhry_check,
+    induced,
     is_artemis,
     is_even_pair_exact,
+    is_interesting_set,
     is_special_even_pair_exact,
     max_clique_exact,
     new_graph,
@@ -116,6 +118,59 @@ def test_is_artemis():
     for seed in range(5):
         assert is_artemis(chordal(10, 0.5, seed))[0]
         assert is_artemis(bipartite(10, 0.5, seed))[0]
+
+
+def _prism_with_paths(lengths):
+    """Triangles {0, 1, 2} and {3, 4, 5}, with a path of lengths[i] edges
+    from i to 3 + i."""
+    edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+    n = 6
+    for i, length in enumerate(lengths):
+        stops = [i] + list(range(n, n + length - 1)) + [3 + i]
+        n += length - 1
+        edges += list(zip(stops, stops[1:]))
+    return new_graph(n, edges)
+
+
+def _relabeled(n, edges, rng):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return new_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_class_scan_through_a_vertex_matches_full_scan():
+    # For every v with g - v in the class, the scan through v gives the full
+    # scan's verdict and witness.  The graphs are Artemis graphs plus one
+    # vertex, and single structures with pendant trees, relabeled at random so
+    # that v is seldom a structure's smallest vertex.
+    rng = random.Random(15)
+    makers = (chordal, bipartite, filtered_random)
+    graphs = []
+    for i in range(150):
+        n = rng.randint(5, 12)
+        base = makers[i % 3](n - 1, rng.choice((0.2, 0.4, 0.6)), rng.randrange(10**6))
+        extra = [(u, n - 1) for u in range(n - 1) if rng.random() < 0.5]
+        graphs.append(_relabeled(n, list(base.edges()) + extra, rng))
+    cores = [cycle_graph(5), cycle_graph(7), complement(cycle_graph(6)),
+             complement(cycle_graph(8)), _prism_with_paths((1, 1, 3)),
+             _prism_with_paths((2, 2, 2))]
+    for core in cores:
+        for _ in range(8):
+            n = rng.randint(core.n, 12)
+            pendants = [(rng.randrange(v), v) for v in range(core.n, n)]
+            graphs.append(_relabeled(n, list(core.edges()) + pendants, rng))
+    kinds = {ODD_HOLE: 0, ANTIHOLE: 0, PRISM: 0}
+    for g in graphs:
+        full = is_artemis(g)
+        for v in g.vertices:
+            if is_artemis(induced(g, set(g.vertices) - {v})[0])[0]:
+                assert is_artemis(g, through=v) == full, (sorted(g.edges()), v)
+                if not full[0]:
+                    kinds[full[1].kind] += 1
+    assert all(count >= 40 for count in kinds.values()), kinds
+    for through in (-1, 4):
+        with pytest.raises(GraphError, match="in range"):
+            is_artemis(path_graph(4), through=through)
 
 
 def test_budget_refusal():
@@ -483,6 +538,11 @@ def test_brute_maximal_interesting():
     assert brute_maximal_interesting_check(path_graph(4), {1})
     assert not brute_maximal_interesting_check(cycle_graph(4), {1})
     assert brute_maximal_interesting_check(cycle_graph(4), {1, 3})
+    # {9} is past the last vertex and {-1} would wrap to vertex 3
+    for check in (is_interesting_set, brute_maximal_interesting_check):
+        for tset in ({9}, {-1}, {1, 9}):
+            with pytest.raises(GraphError, match="in range"):
+                check(path_graph(4), tset)
 
 
 def test_brute_minimal_outer_path():
