@@ -18,15 +18,10 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import AbstractSet, Iterable, Union
+from typing import AbstractSet, Callable, Iterable, Union
 
-from .graphs import (
-    ContractionStep,
-    ContractionTrace,
-    Graph,
-    GraphError,
-    components,
-)
+from .graphs import ContractionStep, ContractionTrace, Graph, GraphError
+from .graphs import components  # noqa: F401  (perfbench/tracer.py wraps engine.components)
 
 
 class NotArtemisError(RuntimeError):
@@ -98,10 +93,14 @@ class OpCounters:
     cost model under which the pipeline is an O(n^2 m) algorithm.  The charges
     count the algorithm's scans even where a C-level set operation does the
     work, and even where a finder skips a scan whose outcome it already
-    knows; those scans are charged in aggregate (for example the component
-    pass of :func:`find_interesting`, whose parts partition its domain).  So
-    the counts, and the slopes fitted to them, do not depend on how a finder
-    is written.  ``per_call`` and ``chain_depths`` get one entry per
+    knows; those scans are charged in aggregate: the component pass of
+    :func:`find_interesting`, whose parts partition its domain, and the
+    count of vertices its start walk visits; and the search from each
+    trivial root of :func:`find_outer_path`, which would scan only the root
+    and its one complete neighbor, if any.  So the counts, and the slopes
+    fitted to them, do not depend on how a finder is written.  A finder's
+    charges build up in locals and reach the counters before it returns or
+    raises.  ``per_call`` and ``chain_depths`` get one entry per
     special-even-pair search.
     """
 
@@ -123,8 +122,8 @@ class WorkingGraph:
     smallest-id tie-break matches the one on the dense renumbering.  Adjacency
     is kept as neighbor sets only; a scan whose order decides the output
     sorts what it scans.  The read interface is ``vertices`` (the live ids,
-    ascending; do not mutate), ``neighbor_set``, ``degree``, ``adjacent`` and
-    ``rank``.
+    ascending; do not mutate), ``adj`` (the neighbor sets indexed by vertex;
+    do not mutate), ``neighbor_set``, ``degree``, ``adjacent`` and ``rank``.
     """
 
     __slots__ = ("_sets", "_live")
@@ -136,6 +135,10 @@ class WorkingGraph:
     @property
     def vertices(self) -> list[int]:
         return self._live
+
+    @property
+    def adj(self) -> list[set[int]]:
+        return self._sets
 
     def neighbor_set(self, v: int) -> set[int]:
         return self._sets[v]
@@ -184,7 +187,7 @@ class PipelineObserver:
 
     Subclasses can cross-check every intermediate structure (used by the
     oracle-backed verify mode).  Under :func:`color_artemis` every hook sees
-    the run's :class:`WorkingGraph`, which offers ``vertices``,
+    the run's :class:`WorkingGraph`, which offers ``vertices``, ``adj``,
     ``neighbor_set``, ``degree``, ``adjacent`` and ``rank``, and vertex ids of
     the input graph; the working graph changes in place at each contraction,
     so a hook that needs a graph later must copy it (for example with
@@ -210,8 +213,12 @@ class PipelineObserver:
 
 _SILENT = PipelineObserver()
 
+# The finders read a neighbor set through ``g.adj.__getitem__``, bound once
+# per call, and charge a degree as the length of that set.
+Neighbors = Callable[[int], AbstractSet[int]]
 
-def _clique_probe(g: Graph, s: AbstractSet[int], counters: OpCounters) -> bool:
+
+def _clique_probe(nbr: Neighbors, s: AbstractSet[int], counters: OpCounters) -> bool:
     """Clique test charged one probe per candidate pair examined."""
     size = len(s)
     if size <= 1:
@@ -220,7 +227,7 @@ def _clique_probe(g: Graph, s: AbstractSet[int], counters: OpCounters) -> bool:
     ok = True
     for v in sorted(s):
         ops += size
-        if len(g.neighbor_set(v) & s) != size - 1:
+        if len(nbr(v) & s) != size - 1:
             ok = False
             break
     counters.interesting += ops
@@ -233,29 +240,33 @@ def find_interesting(g: Graph, dom: AbstractSet[int],
     partition when every vertex is simplicial.
 
     Start: the smallest vertex s with a vertex at distance exactly two inside
-    ``dom``, found by one ascending walk that needs no component pass; the
-    smallest neighbor of s that sees past N[s] is non-simplicial and seeds
-    the set.  Without such an s, ``dom`` is a disjoint union of cliques, and
-    only then are its components computed.  Growth: each undecided vertex
-    whose neighborhood inside the complete set is a clique is shelved for
-    good; otherwise it joins the set and the complete set shrinks to its
-    neighbors, re-opening what fell out.  The min-heap of undecided vertices
-    holds only candidates, those with two or more neighbors in the complete
-    set.  ``dom`` is only read.
+    ``dom``, found by one ascending walk; the smallest neighbor of s that
+    sees past N[s] is non-simplicial and seeds the set.  The walk meets each
+    component of ``dom`` first at its smallest member v, and one without such
+    an s is then N[v]; without any s, ``dom`` is a disjoint union of cliques
+    and those parts, collected in walk order, are the partition, so no
+    component pass runs.  Growth: each undecided vertex whose neighborhood
+    inside the complete set is a clique is shelved for good; otherwise it
+    joins the set and the complete set shrinks to its neighbors, re-opening
+    what fell out.  The min-heap of undecided vertices holds only
+    candidates, those with two or more neighbors in the complete set.
+    ``dom`` holds vertices of g and is only read.
     """
-    nbr = g.neighbor_set
-    # The component pass of the cost model: its parts partition dom.
-    counters.interesting += 2 * len(dom)
+    nbr = g.adj.__getitem__
+    # A dom as large as the vertex set is the vertex set, already ascending.
+    walk = g.vertices if len(dom) == len(g.vertices) else sorted(dom)
     # A vertex with no vertex at distance two sees its whole component, N[v]
     # inside dom; the component's later members only compare their degree
     # with its size.
     whole: dict[int, int] = {}
+    parts: list[frozenset[int]] = []
     start = seed = None
-    for v in sorted(dom):
-        counters.interesting += 1
+    walked = 0
+    for walked, v in enumerate(walk, 1):
         size = whole.get(v)
         if size is None and nbr(v).isdisjoint(dom):
-            continue  # an isolated vertex is a component of its own
+            parts.append(frozenset((v,)))  # an isolated vertex is a component of its own
+            continue
         near = nbr(v) & dom
         if len(near) + 1 == size:
             continue
@@ -266,13 +277,18 @@ def find_interesting(g: Graph, dom: AbstractSet[int],
         if seed is not None:
             start = v
             break
+        # Only a component's first member gets here: a later one that misses
+        # part of N[first] has first as a neighbor seeing past its own N[v].
         size = len(near) + 1
-        whole[v] = size
-        for u in near:
-            whole[u] = size
+        whole.update(dict.fromkeys(near, size))
+        parts.append(frozenset(near | {v}))
+    # The component pass of the cost model, whose parts partition dom, and
+    # one unit per vertex walked.
+    ops = 2 * len(dom) + walked
     if start is None:
-        return DisjointCliques(tuple(frozenset(p) for p in components(g, dom)))
-    counters.interesting += g.degree(start) + sum(g.degree(u) for u in near if u <= seed)
+        counters.interesting += ops
+        return DisjointCliques(tuple(parts))
+    ops += len(nbr(start)) + sum(len(nbr(u)) for u in near if u <= seed)
 
     tset = {seed}
     cset = nbr(seed) & dom
@@ -282,7 +298,7 @@ def find_interesting(g: Graph, dom: AbstractSet[int],
     # be shelved when picked, at no further charge: the min-heap holds only
     # the others, the candidates, and the pick order is unchanged.
     undecided = dom - cset - {seed}
-    counters.interesting += sum(map(g.degree, undecided))
+    ops += sum(map(len, map(nbr, undecided)))
     if len(cset) < len(undecided):
         # The candidates are the vertices seen from two members of cset.
         once, twice = set(), set()
@@ -296,15 +312,16 @@ def find_interesting(g: Graph, dom: AbstractSet[int],
     while candidates:
         u = heappop(candidates)
         cap = nbr(u) & cset
-        if _clique_probe(g, cap, counters):
+        if _clique_probe(nbr, cap, counters):
             continue  # shelved: the complete set only shrinks, so this stays a clique
         tset.add(u)
         dropped = cset - nbr(u)
         cset &= nbr(u)
-        counters.interesting += len(dropped) + sum(map(g.degree, dropped))
+        ops += len(dropped) + sum(map(len, map(nbr, dropped)))
         for w in dropped:
             if len(nbr(w) & cset) >= 2:
                 heappush(candidates, w)
+    counters.interesting += ops
     return MaximalInteresting(frozenset(tset), frozenset(cset))
 
 
@@ -314,56 +331,81 @@ def find_outer_path(g: Graph, dom: AbstractSet[int], tset: AbstractSet[int],
 
     One search per component of the vertices outside T and its complete set:
     a breadth-first search that collects the complete vertices it meets as
-    leaves.  The met set stays a clique (subset-checked) until some vertex x
-    breaks it; a second search from x inside the vertices seen so far, with
-    x's met neighbors removed, runs to the first met vertex not adjacent to x.
-    The search path between them is the answer.  The level's sets are only
-    read.
+    leaves.  A root whose only neighbor outside T, if any, is complete is a
+    component of its own that cannot hold a path; it is charged its degree
+    and that neighbor's, and no search starts.  The met set stays a clique
+    (subset-checked) until some vertex x breaks it; a second search from x
+    inside the vertices seen so far, with x's met neighbors removed, runs to
+    the first met vertex not adjacent to x.  The search path between them is
+    the answer.  The level's sets are only read.
     """
+    nbr = g.adj.__getitem__
     searchable = dom - tset
-    unmarked = set(dom - tset - cset)
-    for root in sorted(unmarked):
-        if root not in unmarked:
-            continue  # absorbed by an earlier component's search
-        found = _component_search(g, root, searchable, cset, unmarked, counters)
-        if found is not None:
-            return found
+    unmarked = set(searchable - cset)
+    ops = 0
+    try:  # the trivial roots are charged even when a search raises
+        for root in sorted(unmarked):
+            if root not in unmarked:
+                continue  # absorbed by an earlier component's search
+            around = nbr(root)
+            near = around & searchable
+            if len(near) <= 1 and near <= cset:
+                ops += len(around)
+                for c in near:
+                    ops += len(nbr(c))
+                continue
+            found = _component_search(nbr, root, cset, unmarked, counters)
+            if found is not None:
+                return found
+    finally:
+        counters.outer += ops
     return None
 
 
-def _component_search(g: Graph, root: int, searchable: AbstractSet[int],
-                      cset: AbstractSet[int], unmarked: set[int],
-                      counters: OpCounters) -> OuterPath | None:
+def _component_search(nbr: Neighbors, root: int, cset: AbstractSet[int],
+                      unmarked: set[int], counters: OpCounters) -> OuterPath | None:
+    # Unmarked vertices are the searchable ones outside cset that no search
+    # has seen, so a neighbor outside cset is new exactly when it is unmarked,
+    # and a complete neighbor exactly when it is not met.
     seen = {root}
     unmarked.discard(root)
     met: set[int] = set()      # complete vertices met so far
     queue = deque([root])
+    ops = 0
     while queue:
         u = queue.popleft()
-        counters.outer += g.degree(u)
-        fresh = g.neighbor_set(u) & searchable
-        fresh -= seen
+        nu = nbr(u)
+        ops += len(nu)
+        fresh = nu & unmarked
+        reach = nu & cset
+        if reach <= met:
+            unmarked -= fresh
+            seen |= fresh
+            queue.extend(sorted(fresh))
+            continue
         # Ascending order: the first met vertex that breaks the clique decides
         # which path is dug out, from the vertices seen up to it.
-        for w in sorted(fresh):
+        for w in sorted(fresh | (reach - met)):
             seen.add(w)
             if w in cset:
-                if not met <= g.neighbor_set(w):
+                if not met <= nbr(w):
                     # w misses someone already met: the met set just stopped
                     # being a clique, and a path between the two sides exists.
-                    return _dig_out_path(g, w, met, seen, cset, counters)
-                counters.outer += g.degree(w)
+                    counters.outer += ops
+                    return _dig_out_path(nbr, w, met, seen, cset, counters)
+                ops += len(nbr(w))
                 met.add(w)
             else:
                 unmarked.discard(w)
                 queue.append(w)
+    counters.outer += ops
     return None
 
 
-def _dig_out_path(g: Graph, x: int, met: set[int], seen: set[int],
+def _dig_out_path(nbr: Neighbors, x: int, met: set[int], seen: set[int],
                   cset: AbstractSet[int], counters: OpCounters) -> OuterPath:
-    met_x = met & g.neighbor_set(x)
-    counters.outer += len(met)
+    met_x = met & nbr(x)
+    ops = len(met)
     targets = met - met_x
     allowed = seen - met_x
     parent: dict[int, int | None] = {x: None}
@@ -371,12 +413,14 @@ def _dig_out_path(g: Graph, x: int, met: set[int], seen: set[int],
     queue = deque([x])
     while queue:
         u = queue.popleft()
-        counters.outer += g.degree(u)
+        nu = nbr(u)
+        ops += len(nu)
         # Ascending order: the first target reached decides the path.
-        for w in sorted((g.neighbor_set(u) & allowed) - inner_seen):
+        for w in sorted((nu & allowed) - inner_seen):
             inner_seen.add(w)
             parent[w] = u
             if w in targets:
+                counters.outer += ops
                 path = [w]
                 while (p := parent[path[-1]]) is not None:
                     path.append(p)
@@ -384,6 +428,7 @@ def _dig_out_path(g: Graph, x: int, met: set[int], seen: set[int],
                 return OuterPath(tuple(path))
             if w not in cset:
                 queue.append(w)
+    counters.outer += ops
     raise NotArtemisError(
         "outer-path endpoint became unreachable; the input violates the class guarantees")
 
@@ -399,19 +444,20 @@ def find_even_pair(g: Graph, dom: AbstractSet[int], tset: AbstractSet[int],
     choice in B, is a special even pair.  Ties go to the smallest id.  The
     level's sets are only read.
     """
+    nbr = g.adj.__getitem__
     verts = path.vertices
     x, v, w, y = verts[0], verts[1], verts[-2], verts[-1]
-    counters.even_pair += g.degree(v) + g.degree(y) + g.degree(w) + g.degree(x)
-    aside = (g.neighbor_set(v) & cset) - g.neighbor_set(y)
-    bside = (g.neighbor_set(w) & cset) - g.neighbor_set(x)
+    counters.even_pair += len(nbr(v)) + len(nbr(y)) + len(nbr(w)) + len(nbr(x))
+    aside = (nbr(v) & cset) - nbr(y)
+    bside = (nbr(w) & cset) - nbr(x)
     if not aside or not bside:
         raise NotArtemisError("an outer-path endpoint class came out empty")
     if aside & bside:
         raise NotArtemisError("the two endpoint classes overlap; input is outside the class")
-    reach_a = _reached_boundary(g, dom, tset, aside, bside, counters)
-    reach_b = _reached_boundary(g, dom, tset, bside, aside, counters)
-    a = _sees_all(g, aside, reach_a, counters)
-    b = _sees_all(g, bside, reach_b, counters)
+    reach_a = _reached_boundary(nbr, dom, tset, aside, bside, counters)
+    reach_b = _reached_boundary(nbr, dom, tset, bside, aside, counters)
+    a = _sees_all(nbr, aside, reach_a, counters)
+    b = _sees_all(nbr, bside, reach_b, counters)
     if a is None:
         raise NotArtemisError("no vertex of the first endpoint class sees its whole reachable boundary")
     if b is None:
@@ -419,7 +465,7 @@ def find_even_pair(g: Graph, dom: AbstractSet[int], tset: AbstractSet[int],
     return a, b
 
 
-def _reached_boundary(g: Graph, dom: AbstractSet[int], tset: AbstractSet[int],
+def _reached_boundary(nbr: Neighbors, dom: AbstractSet[int], tset: AbstractSet[int],
                       aside: AbstractSet[int], bside: AbstractSet[int],
                       counters: OpCounters) -> set[int]:
     """Vertices of N(A) reached by a search from B avoiding T and A.
@@ -427,41 +473,45 @@ def _reached_boundary(g: Graph, dom: AbstractSet[int], tset: AbstractSet[int],
     The boundary vertices are leaves: they are reached but never expanded.
     Each expanded vertex is charged its degree.
     """
-    boundary: set[int] = set()
-    for a in aside:
-        counters.even_pair += g.degree(a)
-        boundary |= g.neighbor_set(a)
+    ops = sum(map(len, map(nbr, aside)))
+    boundary = set().union(*map(nbr, aside))
     boundary &= dom
     boundary -= aside
-    searchable = dom - tset - aside
-    targets = boundary & searchable
+    unseen = set(dom)
+    unseen.difference_update(tset, aside)
+    targets = boundary & unseen
     if targets & bside:
+        counters.even_pair += ops
         raise NotArtemisError("an edge joins the two endpoint classes; input is outside the class")
+    unseen -= bside
     reached: set[int] = set()
-    seen = set(bside)
     stack = list(bside)
     while stack:
-        u = stack.pop()
-        counters.even_pair += g.degree(u)
-        for w in g.neighbor_set(u):
-            if w in searchable and w not in seen:
-                seen.add(w)
+        nu = nbr(stack.pop())
+        ops += len(nu)
+        for w in nu:
+            if w in unseen:
+                unseen.remove(w)
                 if w in targets:
                     reached.add(w)
                 else:
                     stack.append(w)
+    counters.even_pair += ops
     return reached
 
 
-def _sees_all(g: Graph, side: AbstractSet[int], reached: set[int],
+def _sees_all(nbr: Neighbors, side: AbstractSet[int], reached: set[int],
               counters: OpCounters) -> int | None:
     # reached never meets side, so v sees all of it exactly when it is a subset.
-    counters.even_pair += sum(map(g.degree, reached))
+    ops = sum(map(len, map(nbr, reached)))
+    found = None
     for v in sorted(side):
-        counters.even_pair += 1
-        if reached <= g.neighbor_set(v):
-            return v
-    return None
+        ops += 1
+        if reached <= nbr(v):
+            found = v
+            break
+    counters.even_pair += ops
+    return found
 
 
 def find_special_even_pair(g: Graph, *, counters: OpCounters | None = None,

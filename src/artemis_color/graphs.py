@@ -21,8 +21,8 @@ class Graph:
 
     Instances are immutable: contraction, complement and induced subgraphs
     return new graphs, which makes traces and parallel reads safe.  Adjacency
-    is stored once, as one frozenset per vertex: O(1) membership and O(deg)
-    scans.  A set has no order, so a reader whose scan order could show sorts
+    is stored once, as one frozenset per vertex (``adj``, indexed by vertex):
+    O(1) membership and O(deg) scans.  A set has no order, so a reader whose scan order could show sorts
     what it scans; ``edges()`` is the one such reader here.
     """
 
@@ -49,6 +49,11 @@ class Graph:
     @property
     def vertices(self) -> range:
         return range(self.n)
+
+    @property
+    def adj(self) -> tuple[frozenset[int], ...]:
+        """The neighbor sets, indexed by vertex."""
+        return self._sets
 
     def neighbor_set(self, v: int) -> frozenset[int]:
         return self._sets[v]

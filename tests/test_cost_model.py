@@ -9,9 +9,21 @@ The in-place and immutable drivers share the finders, so comparing them
 cannot catch a changed charge; these fixed values can.
 """
 
+import hashlib
+import json
+
 import pytest
 
-from artemis_color import OpCounters, bipartite, chordal, color_artemis, filtered_random
+from artemis_color import (
+    NotArtemisError,
+    OpCounters,
+    PipelineObserver,
+    bipartite,
+    chordal,
+    color_artemis,
+    filtered_random,
+    random_graph,
+)
 
 PINNED = [
     dict(
@@ -90,3 +102,45 @@ def test_sparse_cost_model_is_pinned():
                   545, 541, 538, 534, 537, 534, 531, 453],
         chain_depths=[2] * 49 + [1])
     assert [(step.a, step.b) for step in trace.steps] == SPARSE_STEPS
+
+
+def _digest(value):
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
+class _PairSources(PipelineObserver):
+    def __init__(self):
+        self.outer = self.bottom = 0
+
+    def outer_path(self, g, domain, tset, cset, path):
+        self.outer += path is not None
+
+    def bottom_pair(self, g, domain, result, pair):
+        self.bottom += 1
+
+
+def test_mixed_sparse_cost_model_is_pinned():
+    # Pairs come from outer paths and from the bottom-level clique rule, and
+    # many outer-path roots are components of their own that meet at most
+    # one complete vertex.
+    sources = _PairSources()
+    counters = OpCounters()
+    _, trace = color_artemis(bipartite(200, 0.02, 1), counters=counters, observer=sources)
+    assert (counters.interesting, counters.outer, counters.even_pair) == (85842, 231183, 21898)
+    assert (sources.outer, sources.bottom) == (34, 141)
+    assert len(trace.steps) == 175
+    assert _digest([(step.a, step.b) for step in trace.steps]) == (
+        "a1975fb7b6f475f02f2ec2b6ee641928bb2d46d526d791b2c3cd8becd9f9d080")
+    assert _digest([counters.per_call, counters.chain_depths]) == (
+        "4bca3b8fb990123a8d8c20d84c09a8372121ffd5257b3d82c886d32142b1c835")
+
+
+def test_rejected_run_cost_model_is_pinned():
+    # The charges up to the raise: the failing search has no per_call entry.
+    counters = OpCounters()
+    with pytest.raises(NotArtemisError, match="no vertex of the second endpoint class"):
+        color_artemis(random_graph(30, 0.2, 4), counters=counters)
+    assert counters == OpCounters(
+        interesting=1716, outer=891, even_pair=2054,
+        per_call=[724, 692, 665, 340, 606, 577, 581],
+        chain_depths=[1, 1, 1, 2, 1, 1, 1])

@@ -202,7 +202,9 @@ def test_find_interesting_hand_built_starts(n, edges, dom, tset, cset, charge):
     assert counters.interesting == charge
 
 
-def test_find_interesting_components_only_on_clique_levels(monkeypatch):
+def test_find_interesting_clique_levels_need_no_component_pass(monkeypatch):
+    # The start walk collects the parts of a clique level as it goes; they
+    # equal the level's components, in the same order.
     import artemis_color.engine as engine
 
     calls = []
@@ -215,12 +217,14 @@ def test_find_interesting_components_only_on_clique_levels(monkeypatch):
 
     class Verdicts(PipelineObserver):
         def interesting(self, g, domain, result):
-            verdicts.append(isinstance(result, DisjointCliques))
+            if isinstance(result, DisjointCliques):
+                verdicts.append(result.cliques == tuple(map(frozenset, components(g, domain))))
 
     monkeypatch.setattr(engine, "components", counted)
-    color_artemis(bipartite(80, 0.1, 3), observer=Verdicts())
-    assert len(calls) == sum(verdicts) > 0
-    assert sum(verdicts) < len(verdicts)  # the other levels ran no component pass
+    for g in (bipartite(80, 0.1, 3), chordal(40, 0.5, 2), bipartite(200, 0.01, 5)):
+        color_artemis(g, observer=Verdicts())
+    assert calls == []
+    assert len(verdicts) > 100 and all(verdicts)
 
 
 # --- find_outer_path --------------------------------------------------------
