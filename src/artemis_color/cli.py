@@ -77,8 +77,9 @@ def _cmd_color(args: argparse.Namespace) -> int:
         return EXIT_NOT_ARTEMIS
     residue = residue_cliques(trace)
     if args.verify:
-        # Properness was already enforced by the lift; the residue certifies
-        # the color count.
+        # Properness was already enforced by the lift.  num_colors is computed
+        # from this same residue, so the comparison is a consistency check
+        # only; certifying optimality is ROADMAP item 1.
         if coloring.num_colors != max((len(p) for p in residue), default=0):
             print("error: color count disagrees with the residue cliques", file=sys.stderr)
             return EXIT_NOT_ARTEMIS

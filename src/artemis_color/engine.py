@@ -122,37 +122,20 @@ class WorkingGraph:
     smallest-id tie-break matches the one on the dense renumbering.  Adjacency
     is kept as neighbor sets only; a scan whose order decides the output
     sorts what it scans.  The read interface is ``vertices`` (the live ids,
-    ascending; do not mutate), ``adj`` (the neighbor sets indexed by vertex;
-    do not mutate), ``neighbor_set``, ``degree``, ``adjacent`` and ``rank``.
+    ascending), ``adj`` (the neighbor sets indexed by vertex) and ``rank``;
+    only :func:`contract` mutates the first two.
     """
 
-    __slots__ = ("_sets", "_live")
+    __slots__ = ("vertices", "adj")
 
     def __init__(self, g: Graph) -> None:
-        self._sets = [set(g.neighbor_set(v)) for v in g.vertices]
-        self._live = list(g.vertices)
-
-    @property
-    def vertices(self) -> list[int]:
-        return self._live
-
-    @property
-    def adj(self) -> list[set[int]]:
-        return self._sets
-
-    def neighbor_set(self, v: int) -> set[int]:
-        return self._sets[v]
-
-    def degree(self, v: int) -> int:
-        return len(self._sets[v])
-
-    def adjacent(self, u: int, v: int) -> bool:
-        return v in self._sets[u]
+        self.adj: list[set[int]] = [set(nbrs) for nbrs in g.adj]
+        self.vertices: list[int] = list(g.vertices)
 
     def rank(self, v: int) -> int:
         """Position of the live vertex v in ``vertices``: its dense id."""
-        r = bisect_left(self._live, v)
-        if r == len(self._live) or self._live[r] != v:
+        r = bisect_left(self.vertices, v)
+        if r == len(self.vertices) or self.vertices[r] != v:
             raise GraphError(f"vertex {v} is not in the working graph")
         return r
 
@@ -168,17 +151,18 @@ def contract(g: WorkingGraph, a: int, b: int) -> ContractionStep:
     if a == b:
         raise GraphError("cannot contract a vertex with itself")
     ra, rb = g.rank(a), g.rank(b)
-    if g.adjacent(a, b):
+    adj = g.adj
+    if b in adj[a]:
         raise GraphError(f"vertices {a} and {b} are adjacent; contraction of an edge is undefined")
     lo, hi = (a, b) if a < b else (b, a)
-    gone = g._sets[hi]
+    gone = adj[hi]
     for w in gone:
-        nbr_set = g._sets[w]
+        nbr_set = adj[w]
         nbr_set.discard(hi)
         nbr_set.add(lo)
-    g._sets[lo] |= gone
-    g._sets[hi] = set()
-    del g._live[max(ra, rb)]
+    adj[lo] |= gone
+    adj[hi] = set()
+    del g.vertices[max(ra, rb)]
     return ContractionStep(a=ra, b=rb)
 
 
@@ -187,11 +171,10 @@ class PipelineObserver:
 
     Subclasses can cross-check every intermediate structure (used by the
     oracle-backed verify mode).  Under :func:`color_artemis` every hook sees
-    the run's :class:`WorkingGraph`, which offers ``vertices``, ``adj``,
-    ``neighbor_set``, ``degree``, ``adjacent`` and ``rank``, and vertex ids of
-    the input graph; the working graph changes in place at each contraction,
-    so a hook that needs a graph later must copy it (for example with
-    ``graphs.induced``).
+    the run's :class:`WorkingGraph`, read through ``vertices``, ``adj`` and
+    ``rank``, and vertex ids of the input graph; the working graph changes in
+    place at each contraction, so a hook that needs a graph later must copy
+    it (for example with ``graphs.induced``).
     """
 
     def interesting(self, g: WorkingGraph, domain: frozenset[int],

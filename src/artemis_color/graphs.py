@@ -20,13 +20,16 @@ class Graph:
     """Simple undirected graph on vertices ``0..n-1``.
 
     Instances are immutable: contraction, complement and induced subgraphs
-    return new graphs, which makes traces and parallel reads safe.  Adjacency
-    is stored once, as one frozenset per vertex (``adj``, indexed by vertex):
-    O(1) membership and O(deg) scans.  A set has no order, so a reader whose scan order could show sorts
-    what it scans; ``edges()`` is the one such reader here.
+    return new graphs, which makes traces and parallel reads safe.  The read
+    interface is ``vertices`` (``range(n)``) and ``adj``, the tuple of
+    neighbor frozensets indexed by vertex: ``adj[v]`` is the neighborhood,
+    ``len(adj[v])`` the degree and ``v in adj[u]`` the adjacency test, O(1)
+    membership and O(deg) scans.  A set has no order, so a reader whose scan
+    order could show sorts what it scans; ``edges()`` is the one such reader
+    here.
     """
 
-    __slots__ = ("n", "m", "_sets")
+    __slots__ = ("n", "m", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
         if n < 0:
@@ -44,37 +47,23 @@ class Graph:
                 m += 1
         self.n = n
         self.m = m
-        self._sets = tuple(frozenset(s) for s in adj)
+        self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
 
     @property
     def vertices(self) -> range:
         return range(self.n)
 
-    @property
-    def adj(self) -> tuple[frozenset[int], ...]:
-        """The neighbor sets, indexed by vertex."""
-        return self._sets
-
-    def neighbor_set(self, v: int) -> frozenset[int]:
-        return self._sets[v]
-
-    def degree(self, v: int) -> int:
-        return len(self._sets[v])
-
-    def adjacent(self, u: int, v: int) -> bool:
-        return v in self._sets[u]
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, in ascending lexicographic order."""
         for u in range(self.n):
-            for v in sorted(self._sets[u]):
+            for v in sorted(self.adj[u]):
                 if v > u:
                     yield (u, v)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._sets == other._sets
+        return self.n == other.n and self.adj == other.adj
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -145,7 +134,7 @@ def contract(g: Graph, a: int, b: int) -> tuple[Graph, ContractionStep]:
         raise GraphError("cannot contract a vertex with itself")
     if not (0 <= a < g.n and 0 <= b < g.n):
         raise GraphError(f"contraction endpoints ({a}, {b}) out of range")
-    if g.adjacent(a, b):
+    if b in g.adj[a]:
         raise GraphError(f"vertices {a} and {b} are adjacent; contraction of an edge is undefined")
     lo, hi = (a, b) if a < b else (b, a)
     to_new = tuple(
@@ -161,7 +150,7 @@ def complement(g: Graph) -> Graph:
     """Graph on the same vertices with exactly the missing edges."""
     edges = []
     for u in range(g.n):
-        nbrs = g.neighbor_set(u)
+        nbrs = g.adj[u]
         for v in range(u + 1, g.n):
             if v not in nbrs:
                 edges.append((u, v))
@@ -172,7 +161,7 @@ def induced(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Subgraph on ``keep``, relabeled densely.
 
     Returns the subgraph and the old ids in ascending order, indexed by new id.
-    ``g`` may be any graph with ``vertices`` and ``neighbor_set``.
+    ``g`` may be any graph with ``vertices`` and ``adj``.
     """
     old_ids = tuple(sorted(set(keep)))
     present = g.vertices
@@ -181,7 +170,7 @@ def induced(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     to_new = {old: new for new, old in enumerate(old_ids)}
     edges = []
     for new, old in enumerate(old_ids):
-        for w in g.neighbor_set(old):
+        for w in g.adj[old]:
             if w > old and w in to_new:
                 edges.append((new, to_new[w]))
     return Graph(len(old_ids), edges), old_ids
@@ -194,7 +183,7 @@ def common_complete(g: Graph, tset: Iterable[int]) -> set[int]:
         raise GraphError("common_complete needs a nonempty vertex set")
     result: set[int] | None = None
     for v in members:
-        nbrs = g.neighbor_set(v)
+        nbrs = g.adj[v]
         result = set(nbrs) if result is None else result & nbrs
     assert result is not None
     return result - members
@@ -204,7 +193,7 @@ def is_clique(g: Graph, s: Iterable[int]) -> bool:
     """True when every pair inside s is adjacent; the empty set is a clique."""
     members = set(s)
     need = len(members) - 1
-    return all(len(g.neighbor_set(v) & members) == need for v in members)
+    return all(len(g.adj[v] & members) == need for v in members)
 
 
 def components(g: Graph, s: Iterable[int] | None = None) -> list[set[int]]:
@@ -222,7 +211,7 @@ def components(g: Graph, s: Iterable[int] | None = None) -> list[set[int]]:
         stack = [seed]
         remaining.discard(seed)
         while stack:
-            fresh = g.neighbor_set(stack.pop()) & remaining
+            fresh = g.adj[stack.pop()] & remaining
             remaining -= fresh
             comp |= fresh
             stack.extend(fresh)
@@ -232,4 +221,4 @@ def components(g: Graph, s: Iterable[int] | None = None) -> list[set[int]]:
 
 def is_simplicial(g: Graph, v: int) -> bool:
     """True when the neighborhood of v is a clique."""
-    return is_clique(g, g.neighbor_set(v))
+    return is_clique(g, g.adj[v])

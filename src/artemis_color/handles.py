@@ -34,7 +34,7 @@ def _neighborhood(g: Graph, vertices: Iterable[int]) -> set[int]:
     members = set(vertices)
     out: set[int] = set()
     for v in members:
-        out |= g.neighbor_set(v)
+        out |= g.adj[v]
     return out - members
 
 
@@ -46,7 +46,7 @@ def _first_missed(g: Graph, candidates: Iterable[int],
     edge_list = sorted(edges)
     for v in sorted(set(candidates)):
         for a, b in edge_list:
-            if v != a and v != b and not g.adjacent(v, a) and not g.adjacent(v, b):
+            if v != a and v != b and a not in g.adj[v] and b not in g.adj[v]:
                 return v, (a, b)
     return None
 
@@ -55,7 +55,7 @@ def _refit(g: Graph, v: int, edge: tuple[int, int]) -> tuple[set[int], set[int]]
     """New co-handle: the component of v once everything seeing the edge is
     removed; the handle is whatever neither touches nor belongs to it."""
     a, b = edge
-    removed = (g.neighbor_set(a) | g.neighbor_set(b)) - {a, b}
+    removed = (g.adj[a] | g.adj[b]) - {a, b}
     domain = set(g.vertices) - removed
     cohandle = next(c for c in components(g, domain) if v in c)
     handle = set(g.vertices) - cohandle - _neighborhood(g, cohandle)
@@ -63,7 +63,7 @@ def _refit(g: Graph, v: int, edge: tuple[int, int]) -> tuple[set[int], set[int]]
 
 
 def _inner_edges(g: Graph, vertices: set[int]) -> list[tuple[int, int]]:
-    return [(u, w) for u in vertices for w in g.neighbor_set(u)
+    return [(u, w) for u in vertices for w in g.adj[u]
             if w > u and w in vertices]
 
 
@@ -119,7 +119,7 @@ def is_generalized_handle(g: Graph, handle: Iterable[int], cohandle: Iterable[in
         return False
     for v in boundary:
         for a, b in inner:
-            if not g.adjacent(v, a) and not g.adjacent(v, b):
+            if a not in g.adj[v] and b not in g.adj[v]:
                 return False
     return True
 

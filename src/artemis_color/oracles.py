@@ -64,6 +64,11 @@ def _require_pair(g: Graph, x: int, y: int, what: str) -> None:
         raise GraphError(f"{what} need two distinct vertices in range")
 
 
+def _require_in_range(g: Graph, vertices: Iterable[int], what: str) -> None:
+    if not all(0 <= v < g.n for v in vertices):
+        raise GraphError(f"{what} need vertices in range")
+
+
 def mask_of(vertices: Iterable[int]) -> int:
     mask = 0
     for v in vertices:
@@ -81,7 +86,7 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 def _neighbor_masks(g: Graph) -> list[int]:
     """Neighborhood of every vertex as a bitmask, indexed by vertex."""
-    return [mask_of(g.neighbor_set(v)) for v in g.vertices]
+    return [mask_of(g.adj[v]) for v in g.vertices]
 
 
 # (root, floor) pairs: a search from a root walks only the floor's vertices.
@@ -314,7 +319,7 @@ def is_even_pair_exact(g: Graph, x: int, y: int) -> bool:
     """True when every chordless path between the non-adjacent pair has even
     length; vacuously true when no path exists."""
     _require_pair(g, x, y, "even pairs")
-    if g.adjacent(x, y):
+    if y in g.adj[x]:
         raise GraphError("even pairs are defined for non-adjacent vertices")
     paths = enumerate_chordless_paths(g, x, y)
     return all((len(p) - 1) % 2 == 0 for p in paths)
@@ -364,7 +369,7 @@ def chromatic_number_exact(g: Graph) -> int:
 def _chromatic_from(g: Graph, lower: int) -> int:
     """Chromatic number of a nonempty g, searched upward from ``lower``, its
     clique number."""
-    order = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
+    order = sorted(g.vertices, key=lambda v: (-len(g.adj[v]), v))
     n = g.n
 
     def colorable(k: int) -> bool:
@@ -375,7 +380,7 @@ def _chromatic_from(g: Graph, lower: int) -> int:
                 return True
             v = order[i]
             used_new = max(assigned.values(), default=-1) + 1
-            taken = {assigned[w] for w in g.neighbor_set(v) if w in assigned}
+            taken = {assigned[w] for w in g.adj[v] if w in assigned}
             for c in range(min(used_new + 1, k)):
                 if c in taken:
                     continue
@@ -397,8 +402,7 @@ def is_interesting_set(g: Graph, tset: Iterable[int]) -> bool:
     """Nonempty, connected in the complement, and with a complete neighborhood
     that is not a clique."""
     members = set(tset)
-    if not all(0 <= v < g.n for v in members):
-        raise GraphError("interesting sets need vertices in range")
+    _require_in_range(g, members, "interesting sets")
     if not members:
         return False
     seed = min(members)
@@ -406,7 +410,7 @@ def is_interesting_set(g: Graph, tset: Iterable[int]) -> bool:
     stack = [seed]
     while stack:
         u = stack.pop()
-        for w in members - g.neighbor_set(u):
+        for w in members - g.adj[u]:
             if w != u and w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -424,7 +428,7 @@ def brute_maximal_interesting_check(g: Graph, tset: Iterable[int]) -> bool:
         return False
     complete = common_complete(g, members)
     outside = set(g.vertices) - members - complete
-    return all(is_clique(g, g.neighbor_set(u) & complete) for u in outside)
+    return all(is_clique(g, g.adj[u] & complete) for u in outside)
 
 
 def enumerate_outer_paths(g: Graph, tset: Iterable[int],
@@ -435,6 +439,7 @@ def enumerate_outer_paths(g: Graph, tset: Iterable[int],
     _require(g.n, MAX_SUBSET_N, "outer-path enumeration")
     tset = set(tset)
     cset = set(cset)
+    _require_in_range(g, tset | cset, "outer paths")
     interior_pool = set(g.vertices) - tset - cset
     masks = _neighbor_masks(g)
     result: list[tuple[int, ...]] = []
@@ -464,6 +469,7 @@ def brute_minimal_outer_path_check(g: Graph, tset: Iterable[int], cset: Iterable
     other T-outer path has its interior strictly inside this one's."""
     tset = set(tset)
     cset = set(cset)
+    _require_in_range(g, tset | cset | set(verts), "outer paths")
     if len(verts) < 3 or len(set(verts)) != len(verts):
         return False
     if verts[0] not in cset or verts[-1] not in cset:
@@ -472,11 +478,11 @@ def brute_minimal_outer_path_check(g: Graph, tset: Iterable[int], cset: Iterable
     if interior & (tset | cset):
         return False
     for i in range(len(verts) - 1):
-        if not g.adjacent(verts[i], verts[i + 1]):
+        if verts[i + 1] not in g.adj[verts[i]]:
             return False
     for i in range(len(verts)):
         for j in range(i + 2, len(verts)):
-            if g.adjacent(verts[i], verts[j]):
+            if verts[j] in g.adj[verts[i]]:
                 return False
     length = len(verts) - 1
     if length % 2 != 0 or length < 4:
@@ -493,10 +499,11 @@ def outer_path_exists_criterion(g: Graph, tset: Iterable[int],
     vertices meets the complete set in a non-clique."""
     tset = set(tset)
     cset = set(cset)
+    _require_in_range(g, tset | cset, "outer paths")
     for comp in components(g, set(g.vertices) - tset - cset):
         boundary: set[int] = set()
         for v in comp:
-            boundary |= g.neighbor_set(v)
+            boundary |= g.adj[v]
         if not is_clique(g, boundary & cset):
             return True
     return False

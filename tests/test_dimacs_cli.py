@@ -16,7 +16,7 @@ from conftest import cycle_graph, prism_graph
 
 def test_parse_p3():
     g = parse_dimacs("p edge 3 2\ne 1 2\ne 2 3")
-    assert g.n == 3 and g.m == 2 and g.adjacent(0, 1) and g.adjacent(1, 2)
+    assert g.n == 3 and g.m == 2 and 1 in g.adj[0] and 2 in g.adj[1]
 
 
 def test_parse_comment_and_k1():

@@ -118,7 +118,7 @@ def _reference_clique_probe(g, s, counters):
         return True
     for v in sorted(s):
         counters.interesting += size
-        if len(g.neighbor_set(v) & s) != size - 1:
+        if len(g.adj[v] & s) != size - 1:
             return False
     return True
 
@@ -132,31 +132,31 @@ def _reference_find_interesting(g, dom, counters):
     start = None
     for v in sorted(dom):
         counters.interesting += 1
-        if len(g.neighbor_set(v) & dom) < comp_size[v] - 1:
+        if len(g.adj[v] & dom) < comp_size[v] - 1:
             start = v
             break
     if start is None:
         return DisjointCliques(tuple(frozenset(p) for p in parts))
-    counters.interesting += g.degree(start)
-    beyond = dom - g.neighbor_set(start) - {start}
-    for u in sorted(g.neighbor_set(start)):
+    counters.interesting += len(g.adj[start])
+    beyond = dom - g.adj[start] - {start}
+    for u in sorted(g.adj[start]):
         if u in dom:
-            counters.interesting += g.degree(u)
-            if not g.neighbor_set(u).isdisjoint(beyond):
+            counters.interesting += len(g.adj[u])
+            if not g.adj[u].isdisjoint(beyond):
                 seed = u
                 break
     tset = {seed}
-    cset = g.neighbor_set(seed) & dom
+    cset = g.adj[seed] & dom
     undecided = list(dom - tset - cset)
     heapify(undecided)
     while undecided:
         u = heappop(undecided)
-        counters.interesting += g.degree(u)
-        if _reference_clique_probe(g, g.neighbor_set(u) & cset, counters):
+        counters.interesting += len(g.adj[u])
+        if _reference_clique_probe(g, g.adj[u] & cset, counters):
             continue
         tset.add(u)
-        dropped = cset - g.neighbor_set(u)
-        cset &= g.neighbor_set(u)
+        dropped = cset - g.adj[u]
+        cset &= g.adj[u]
         for w in dropped:
             heappush(undecided, w)
         counters.interesting += len(dropped)
@@ -316,8 +316,8 @@ def test_outer_path_endpoints_land_in_their_classes():
         if path is None:
             continue
         x, v, w, y = path.vertices[0], path.vertices[1], path.vertices[-2], path.vertices[-1]
-        aside = (g.neighbor_set(v) & res.cset) - g.neighbor_set(y)
-        bside = (g.neighbor_set(w) & res.cset) - g.neighbor_set(x)
+        aside = (g.adj[v] & res.cset) - g.adj[y]
+        bside = (g.adj[w] & res.cset) - g.adj[x]
         assert x in aside and y in bside
 
 
@@ -519,23 +519,22 @@ def test_in_place_contract_matches_dense_replay():
             pairs = {True: [], False: []}
             for i, a in enumerate(live):
                 for b in live[i + 1:]:
-                    if not work.adjacent(a, b):
-                        shared = bool(work.neighbor_set(a) & work.neighbor_set(b))
+                    if b not in work.adj[a]:
+                        shared = bool(work.adj[a] & work.adj[b])
                         pairs[shared].append((a, b))
             pool = pairs[turn % 2 == 0] or pairs[turn % 2 == 1]
             if not pool:
                 break
             a, b = rng.choice(pool)
-            kinds[bool(work.neighbor_set(a) & work.neighbor_set(b))] += 1
+            kinds[bool(work.adj[a] & work.adj[b])] += 1
             if rng.random() < 0.5:
                 a, b = b, a
             step = contract_in_place(work, a, b)
             dense, _ = contract(dense, step.a, step.b)
             alive = set(work.vertices)
             for v in work.vertices:
-                nbrs = work.neighbor_set(v)
+                nbrs = work.adj[v]
                 assert v not in nbrs and nbrs <= alive
-                assert all(v in work.neighbor_set(w) for w in nbrs)
-                assert work.degree(v) == len(nbrs)
+                assert all(v in work.adj[w] for w in nbrs)
             assert induced(work, work.vertices)[0] == dense
     assert kinds[True] > 20 and kinds[False] > 20

@@ -31,10 +31,11 @@ from artemis_color import (
     is_special_even_pair_exact,
     max_clique_exact,
     new_graph,
+    outer_path_exists_criterion,
     random_graph,
 )
 
-from artemis_color.oracles import _neighbor_masks, _prism_check, mask_of
+from artemis_color.oracles import _neighbor_masks, _prism_check, enumerate_outer_paths, mask_of
 from conftest import complete_graph, cycle_graph, k3_plus_k2, path_graph, prism_graph
 
 
@@ -293,16 +294,16 @@ def test_witnesses_reverify():
             verts = witness.vertices
             if witness.kind == ODD_HOLE:
                 assert len(verts) % 2 == 1 and len(verts) >= 5
-                assert all(g.adjacent(verts[i], verts[(i + 1) % len(verts)])
+                assert all(verts[(i + 1) % len(verts)] in g.adj[verts[i]]
                            for i in range(len(verts)))
-                assert all(not g.adjacent(verts[i], verts[j])
+                assert all(verts[j] not in g.adj[verts[i]]
                            for i in range(len(verts))
                            for j in range(i + 2, len(verts))
                            if (i, j) != (0, len(verts) - 1))
             elif witness.kind == ANTIHOLE:
                 co = complement(g)
                 assert len(verts) >= 6
-                assert all(co.adjacent(verts[i], verts[(i + 1) % len(verts)])
+                assert all(verts[(i + 1) % len(verts)] in co.adj[verts[i]]
                            for i in range(len(verts)))
             else:
                 sub = _nx_graph(g).subgraph(verts)
@@ -489,7 +490,7 @@ def test_even_pair_is_symmetric():
     for _ in range(40):
         g = random_graph(8, 0.4, rng.randrange(10**6))
         u, v = rng.sample(range(8), 2)
-        if g.adjacent(u, v):
+        if v in g.adj[u]:
             continue
         assert is_even_pair_exact(g, u, v) == is_even_pair_exact(g, v, u)
 
@@ -497,7 +498,7 @@ def test_even_pair_is_symmetric():
 def test_special_even_pair_exact():
     assert is_special_even_pair_exact(cycle_graph(6), 0, 2)
     g = chordal(8, 0.5, 2)
-    pairs = [(u, v) for u in range(8) for v in range(u + 1, 8) if not g.adjacent(u, v)]
+    pairs = [(u, v) for u in range(8) for v in range(u + 1, 8) if v not in g.adj[u]]
     for u, v in pairs:
         if is_even_pair_exact(g, u, v):
             merged, _ = contract(g, u, v)
@@ -568,6 +569,20 @@ def test_brute_minimal_outer_path():
     # odd length is rejected outright
     c5 = cycle_graph(5)
     assert not brute_minimal_outer_path_check(c5, {1}, {0, 2}, (0, 4, 3, 2))
+
+
+def test_outer_path_oracles_reject_out_of_range_vertices():
+    g = cycle_graph(6)
+    # 9 is past the last vertex; -1 would wrap to vertex 5
+    cases = [
+        (brute_minimal_outer_path_check, ({0}, {9, 5}, (9, 2, 3, 4, 5))),
+        (brute_minimal_outer_path_check, ({0}, {-1, 1}, (-1, 4, 3, 2, 1))),
+        (outer_path_exists_criterion, ({0}, {1, 9})),
+        (enumerate_outer_paths, ({0}, {1, 9})),
+    ]
+    for check, args in cases:
+        with pytest.raises(GraphError, match="in range"):
+            check(g, *args)
 
 
 def test_fonlupt_uhry():
