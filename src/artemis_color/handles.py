@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .graphs import Graph, GraphError, common_complete, complement, components, is_clique
-from .oracles import MAX_SUBSET_N, brute_maximal_interesting_check, _require
+from .oracles import MAX_SUBSET_N, brute_maximal_interesting_check, _require, _require_in_range
 
 
 class HandleSearchDiverged(RuntimeError):
@@ -107,6 +107,7 @@ def is_generalized_handle(g: Graph, handle: Iterable[int], cohandle: Iterable[in
     """Definition check used by the property tests and the interesting-set route."""
     hset = set(handle)
     jset = set(cohandle)
+    _require_in_range(g, hset | jset, "handle checks")
     if not jset or hset & jset:
         return False
     inner = _inner_edges(g, hset)
@@ -136,6 +137,7 @@ def interesting_gives_handle_check(g: Graph, tset: Iterable[int]) -> bool:
     two vertices is a handle there, with T as a co-handle."""
     _require(g.n, MAX_SUBSET_N, "interesting-to-handle check")
     members = set(tset)
+    _require_in_range(g, members, "handle checks")
     cset = common_complete(g, members)
     if is_clique(g, cset):
         raise GraphError("the complete set of an interesting set cannot be a clique")

@@ -19,6 +19,8 @@ degree-3 vertices split into triangles A and B such that the three walks
 leaving A by non-triangle edges end in B and, with the triangles, cover the
 set; under those degrees each walk is a path, and what they miss is a cycle.
 The detectors and the path oracles read adjacency only from their own bitmasks.
+Both path enumerations run one chordless-path walker, and the minimal
+outer-path check looks its path up in the outer-path enumeration.
 """
 
 from __future__ import annotations
@@ -292,27 +294,36 @@ def is_artemis(g: Graph, *, through: int | None = None) -> tuple[bool, Structure
     return witness is None, witness
 
 
-def enumerate_chordless_paths(g: Graph, x: int, y: int) -> list[tuple[int, ...]]:
-    """All chordless paths from x to y, depth-first with the prune that a new
-    vertex may only be adjacent to the current last path vertex."""
-    _require(g.n, MAX_SUBSET_N, "chordless-path enumeration")
-    _require_pair(g, x, y, "chordless paths")
-    masks = _neighbor_masks(g)
+def _chordless_paths(masks: Sequence[int], start: int, interior: int,
+                     ends: int) -> list[tuple[int, ...]]:
+    """Every chordless path under masks from start through inner vertices of
+    the interior mask to a vertex of the ends mask, depth-first in ascending
+    vertex order, hence in lexicographic order.
+
+    The prune: a new vertex may be adjacent only to the path's last vertex, so
+    each step forbids the neighborhoods of all earlier path vertices."""
     result: list[tuple[int, ...]] = []
-    path = [x]
+    path = [start]
 
     def extend(forbid: int) -> None:
         last = path[-1]
-        for w in iter_bits(masks[last] & ~forbid):
-            if w == y:
-                result.append(tuple(path) + (y,))
+        for w in iter_bits(masks[last] & ~forbid & (interior | ends)):
+            if ends >> w & 1:
+                result.append(tuple(path) + (w,))
                 continue
             path.append(w)
             extend(forbid | masks[last] | 1 << w)
             path.pop()
 
-    extend(1 << x)
+    extend(1 << start)
     return result
+
+
+def enumerate_chordless_paths(g: Graph, x: int, y: int) -> list[tuple[int, ...]]:
+    """All chordless paths from x to y, in lexicographic order."""
+    _require(g.n, MAX_SUBSET_N, "chordless-path enumeration")
+    _require_pair(g, x, y, "chordless paths")
+    return _chordless_paths(_neighbor_masks(g), x, (1 << g.n) - 1, 1 << y)
 
 
 def is_even_pair_exact(g: Graph, x: int, y: int) -> bool:
@@ -435,62 +446,31 @@ def enumerate_outer_paths(g: Graph, tset: Iterable[int],
                           cset: Iterable[int]) -> list[tuple[int, ...]]:
     """All T-outer paths: chordless, both endpoints complete, at least one
     interior vertex, interior disjoint from T and the complete set.  Each path
-    is listed once, with its smaller endpoint first."""
+    is listed once, with its smaller endpoint first, in lexicographic order."""
     _require(g.n, MAX_SUBSET_N, "outer-path enumeration")
     tset = set(tset)
     cset = set(cset)
     _require_in_range(g, tset | cset, "outer paths")
-    interior_pool = set(g.vertices) - tset - cset
     masks = _neighbor_masks(g)
-    result: list[tuple[int, ...]] = []
-    for start in sorted(cset):
-        path = [start]
-
-        def extend(forbid: int) -> None:
-            last = path[-1]
-            for w in iter_bits(masks[last] & ~forbid):
-                if w in cset:
-                    if w > start and len(path) >= 2:
-                        result.append(tuple(path) + (w,))
-                    continue
-                if w not in interior_pool:
-                    continue
-                path.append(w)
-                extend(forbid | masks[last] | 1 << w)
-                path.pop()
-
-        extend(1 << start)
-    return result
+    cmask = mask_of(cset)
+    interior = (1 << g.n) - 1 & ~mask_of(tset | cset)
+    return [path for start in sorted(cset)
+            for path in _chordless_paths(masks, start, interior, cmask & -(2 << start))
+            if len(path) > 2]
 
 
 def brute_minimal_outer_path_check(g: Graph, tset: Iterable[int], cset: Iterable[int],
                                    verts: Sequence[int]) -> bool:
     """The path ``verts`` is a T-outer path of even length at least four and no
     other T-outer path has its interior strictly inside this one's."""
-    tset = set(tset)
-    cset = set(cset)
-    _require_in_range(g, tset | cset | set(verts), "outer paths")
-    if len(verts) < 3 or len(set(verts)) != len(verts):
+    _require_in_range(g, verts, "outer paths")
+    outer = enumerate_outer_paths(g, tset, cset)
+    path = min(tuple(verts), tuple(verts)[::-1])
+    length = len(path) - 1
+    if path not in outer or length % 2 or length < 4:
         return False
-    if verts[0] not in cset or verts[-1] not in cset:
-        return False
-    interior = set(verts[1:-1])
-    if interior & (tset | cset):
-        return False
-    for i in range(len(verts) - 1):
-        if verts[i + 1] not in g.adj[verts[i]]:
-            return False
-    for i in range(len(verts)):
-        for j in range(i + 2, len(verts)):
-            if verts[j] in g.adj[verts[i]]:
-                return False
-    length = len(verts) - 1
-    if length % 2 != 0 or length < 4:
-        return False
-    for other in enumerate_outer_paths(g, tset, cset):
-        if set(other[1:-1]) < interior:
-            return False
-    return True
+    interior = set(path[1:-1])
+    return not any(set(other[1:-1]) < interior for other in outer)
 
 
 def outer_path_exists_criterion(g: Graph, tset: Iterable[int],

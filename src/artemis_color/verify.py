@@ -21,7 +21,7 @@ counts as unscanned, and its first contraction gets the full scan.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .engine import (
     DisjointCliques,
@@ -159,6 +159,8 @@ class OracleVerifier(PipelineObserver):
         even = is_even_pair_exact(before, da, db)
         ok, witness = is_artemis(after, through=min(da, db) if self._in_class else None)
         self._in_class = ok
+        if witness is not None:  # the replica's id i is g.vertices[i]
+            witness = replace(witness, vertices=tuple(g.vertices[i] for i in witness.vertices))
         # Special means even with a prism-free contraction; the class scan
         # already settles the prism question unless it stopped at an odd hole
         # or an antihole first.

@@ -504,6 +504,20 @@ def test_verifier_reused_for_a_second_run_checks_like_a_fresh_one(n, seed):
     assert reused.failures == fresh.failures
 
 
+def test_verifier_names_class_witnesses_by_input_ids():
+    g = random_graph(8, 0.5, 18)
+    verifier = OracleVerifier()
+    color_artemis(g, observer=verifier)
+    hole = (1, 4, 7, 5, 6)
+    assert verifier.failures[0] == ("class_preserved: contracting (0, 2) left the class: "
+                                    f"StructureWitness(kind='odd_hole', vertices={hole})")
+    # the witness is a chordless cycle of the working graph after that merge
+    work = WorkingGraph(g)
+    contract_in_place(work, 0, 2)
+    for i, v in enumerate(hole):
+        assert {w for w in hole if w in work.adj[v]} == {hole[i - 1], hole[(i + 1) % 5]}
+
+
 def test_in_place_contract_matches_dense_replay():
     """Chains of 1-5 merges on a working graph: after each one every neighbor
     set is symmetric and live, and the graph equals the dense replay."""

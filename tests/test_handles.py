@@ -8,6 +8,7 @@ from artemis_color import (
     cohandle_is_max_interesting,
     complement,
     DisjointCliques,
+    GraphError,
     find_generalized_handle,
     find_interesting,
     interesting_gives_handle_check,
@@ -57,6 +58,17 @@ def test_is_generalized_handle_rejections():
     assert not is_generalized_handle(fork, {2, 3}, {0, 4})
     # on the 5-path the boundary vertex 1 sees neither end of the edge 3-4
     assert not is_generalized_handle(path_graph(5), {2, 3, 4}, {0})
+
+
+def test_handle_checks_reject_out_of_range_vertices():
+    c6 = cycle_graph(6)
+    # 9 is past the last vertex; -1 would wrap to vertex 5
+    for check, args in ((is_generalized_handle, ({9}, {0})),
+                        (is_generalized_handle, ({-1, 0}, {2, 3})),
+                        (interesting_gives_handle_check, ({9},)),
+                        (interesting_gives_handle_check, ({-1},))):
+        with pytest.raises(GraphError, match="in range"):
+            check(c6, *args)
 
 
 def test_handle_sweep_properties():

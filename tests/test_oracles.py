@@ -181,6 +181,9 @@ def test_budget_refusal():
         with pytest.raises(BudgetExceeded):
             fn(big)
         assert fn(path_graph(12)) is None
+    # the minimal-outer-path check refuses even a path that is not T-outer
+    with pytest.raises(BudgetExceeded):
+        brute_minimal_outer_path_check(big, {1}, {0, 2}, (0, 3, 2))
     at_cap, over_cap = path_graph(16), path_graph(17)
     assert max_clique_exact(at_cap) == 2 and chromatic_number_exact(at_cap) == 2
     assert fonlupt_uhry_check(at_cap, 0, 2)
@@ -583,6 +586,25 @@ def test_outer_path_oracles_reject_out_of_range_vertices():
     for check, args in cases:
         with pytest.raises(GraphError, match="in range"):
             check(g, *args)
+
+
+def test_outer_path_oracles_match_networkx():
+    rng = random.Random(29)
+    found = 0
+    for _ in range(400):
+        n = rng.randrange(3, 11)
+        g = random_graph(n, rng.choice((0.2, 0.35, 0.5, 0.65)), rng.randrange(10**6))
+        roles = [rng.randrange(3) for _ in range(n)]  # 0: in T, 1: in C, 2: neither
+        tset = {v for v in range(n) if roles[v] == 0}
+        cset = {v for v in range(n) if roles[v] == 1}
+        expected = sorted(p for x, y in combinations(sorted(cset), 2)
+                          for p in _nx_chordless_paths(g, x, y)
+                          if len(p) > 2 and not set(p[1:-1]) & (tset | cset))
+        paths = enumerate_outer_paths(g, tset, cset)
+        assert paths == expected
+        assert outer_path_exists_criterion(g, tset, cset) == bool(paths)
+        found += bool(paths)
+    assert found > 50
 
 
 def test_fonlupt_uhry():
