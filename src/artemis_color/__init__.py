@@ -55,6 +55,7 @@ from .oracles import (
     ODD_HOLE,
     PRISM,
     BudgetExceeded,
+    MaskGraph,
     StructureWitness,
     brute_maximal_interesting_check,
     brute_minimal_outer_path_check,

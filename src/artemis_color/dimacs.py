@@ -12,6 +12,10 @@ from typing import Callable
 from .engine import Coloring
 from .graphs import Graph, new_graph
 
+# Largest declared vertex count: every declared vertex costs memory even
+# without edges, so a tiny file must not ask for gigabytes.
+MAX_VERTICES = 100_000
+
 
 class DimacsError(ValueError):
     """Hard parse error; the message carries the offending line number."""
@@ -22,8 +26,8 @@ def parse_dimacs(text: str, *, on_warning: Callable[[str], None] | None = None) 
 
     Duplicate edges are dropped with a warning; a declared edge count that
     disagrees with the actual one is a warning and the actual count wins.
-    Missing or repeated ``p`` lines, edges before ``p``, endpoints out of
-    range and self-loops are hard errors.
+    Missing or repeated ``p`` lines, a vertex count above MAX_VERTICES,
+    edges before ``p``, endpoints out of range and self-loops are hard errors.
     """
     warn = on_warning if on_warning is not None else (lambda _msg: None)
     n = None
@@ -46,6 +50,9 @@ def parse_dimacs(text: str, *, on_warning: Callable[[str], None] | None = None) 
                 raise DimacsError(f"line {lineno}: non-integer sizes in 'p' line")
             if n < 0:
                 raise DimacsError(f"line {lineno}: negative vertex count")
+            if n > MAX_VERTICES:
+                raise DimacsError(
+                    f"line {lineno}: vertex count {n} exceeds the limit of {MAX_VERTICES}")
         elif fields[0] == "e":
             if n is None:
                 raise DimacsError(f"line {lineno}: 'e' line before 'p' line")

@@ -11,10 +11,12 @@ never used to color anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .graphs import Graph, GraphError, common_complete, complement, components, is_clique
-from .oracles import MAX_SUBSET_N, brute_maximal_interesting_check, _require, _require_in_range
+from .graphs import Graph, GraphError
+from .oracles import (MAX_SUBSET_N, MaskGraph, _complement, _complete, _components,
+                      _is_clique, _members, _union, _view, brute_maximal_interesting_check,
+                      iter_bits)
 
 
 class HandleSearchDiverged(RuntimeError):
@@ -30,41 +32,26 @@ class GeneralizedHandle:
     boundary: frozenset[int]
 
 
-def _neighborhood(g: Graph, vertices: Iterable[int]) -> set[int]:
-    members = set(vertices)
-    out: set[int] = set()
-    for v in members:
-        out |= g.adj[v]
-    return out - members
-
-
-def _first_missed(g: Graph, candidates: Iterable[int],
-                  edges: Iterable[tuple[int, int]]) -> tuple[int, tuple[int, int]] | None:
-    """Smallest vertex missing some edge, with the lexicographically smallest
-    such edge (a vertex misses an edge when it sees neither endpoint and is
-    not an endpoint itself)."""
-    edge_list = sorted(edges)
-    for v in sorted(set(candidates)):
-        for a, b in edge_list:
-            if v != a and v != b and a not in g.adj[v] and b not in g.adj[v]:
-                return v, (a, b)
+def _first_missed(masks: Sequence[int], candidates: int,
+                  within: int) -> tuple[int, int, int] | None:
+    """Smallest candidate missing some edge inside within, with the
+    lexicographically smallest such edge (a vertex misses an edge when it sees
+    neither endpoint and is not an endpoint itself): its first endpoint is the
+    smallest missed vertex with a missed neighbor, all of which lie above."""
+    for v in iter_bits(candidates):
+        missed = within & ~masks[v] & ~(1 << v)
+        for a in iter_bits(missed):
+            if masks[a] & missed:
+                return v, a, (masks[a] & missed & -(masks[a] & missed)).bit_length() - 1
     return None
 
 
-def _refit(g: Graph, v: int, edge: tuple[int, int]) -> tuple[set[int], set[int]]:
-    """New co-handle: the component of v once everything seeing the edge is
+def _refit(g: MaskGraph, v: int, a: int, b: int) -> tuple[int, int]:
+    """New co-handle: the component of v once everything seeing the edge ab is
     removed; the handle is whatever neither touches nor belongs to it."""
-    a, b = edge
-    removed = (g.adj[a] | g.adj[b]) - {a, b}
-    domain = set(g.vertices) - removed
-    cohandle = next(c for c in components(g, domain) if v in c)
-    handle = set(g.vertices) - cohandle - _neighborhood(g, cohandle)
-    return handle, cohandle
-
-
-def _inner_edges(g: Graph, vertices: set[int]) -> list[tuple[int, int]]:
-    return [(u, w) for u in vertices for w in g.adj[u]
-            if w > u and w in vertices]
+    removed = (g.masks[a] | g.masks[b]) & ~(1 << a | 1 << b)
+    cohandle = next(c for c in _components(g.masks, g.live & ~removed) if c >> v & 1)
+    return g.live & ~cohandle & ~_union(g.masks, cohandle), cohandle
 
 
 def find_generalized_handle(g: Graph, *, max_iterations: int | None = None,
@@ -77,71 +64,64 @@ def find_generalized_handle(g: Graph, *, max_iterations: int | None = None,
     The loop has no termination proof, so it carries an n^2 iteration cap and
     raises instead of spinning.
     """
-    first = _first_missed(g, g.vertices, g.edges())
-    if first is None:
+    g = _view(g)
+    step = _first_missed(g.masks, g.live, g.live)
+    if step is None:
         return None
-    cap = max_iterations if max_iterations is not None else max(1, g.n * g.n)
-    v, edge = first
-    handle, cohandle = _refit(g, v, edge)
+    cap = max_iterations if max_iterations is not None else max(1, g.live.bit_count() ** 2)
     iterations = 0
     while True:
-        boundary = _neighborhood(g, handle)
-        nxt = _first_missed(g, boundary, _inner_edges(g, handle))
-        if nxt is None:
+        handle, cohandle = _refit(g, *step)
+        boundary = _union(g.masks, handle) & ~handle
+        step = _first_missed(g.masks, boundary, handle)
+        if step is None:
             break
         iterations += 1
         if iterations > cap:
             raise HandleSearchDiverged(
                 f"handle refit did not settle within {cap} iterations")
-        v, edge = nxt
-        handle, cohandle = _refit(g, v, edge)
-    boundary = _neighborhood(g, handle)
     # By construction the co-handle's boundary sits inside the removed
     # neighborhood of the last edge, whose endpoints stay in the handle, so
     # the two boundaries coincide.
-    assert boundary == _neighborhood(g, cohandle)
-    return GeneralizedHandle(frozenset(handle), frozenset(cohandle), frozenset(boundary))
+    assert boundary == _union(g.masks, cohandle) & ~cohandle
+    return GeneralizedHandle(*(frozenset(iter_bits(s)) for s in (handle, cohandle, boundary)))
 
 
-def is_generalized_handle(g: Graph, handle: Iterable[int], cohandle: Iterable[int]) -> bool:
+def is_generalized_handle(g: Graph | MaskGraph, handle: Iterable[int],
+                          cohandle: Iterable[int]) -> bool:
     """Definition check used by the property tests and the interesting-set route."""
-    hset = set(handle)
-    jset = set(cohandle)
-    _require_in_range(g, hset | jset, "handle checks")
-    if not jset or hset & jset:
+    g = _view(g)
+    h, j = _members(g, handle, "handle checks"), _members(g, cohandle, "handle checks")
+    masks = g.masks
+    if not j or h & j or not any(masks[v] & h for v in iter_bits(h)):
         return False
-    inner = _inner_edges(g, hset)
-    if not inner:
-        return False
-    boundary = _neighborhood(g, hset)
-    if _neighborhood(g, jset) != boundary:
-        return False
-    if jset not in components(g, set(g.vertices) - boundary):
-        return False
-    for v in boundary:
-        for a, b in inner:
-            if a not in g.adj[v] and b not in g.adj[v]:
-                return False
-    return True
+    boundary = _union(masks, h) & ~h
+    # Each boundary vertex sees an endpoint of every edge inside H: the part
+    # of H it misses holds no edge.
+    return (_union(masks, j) & ~j == boundary
+            and j in _components(masks, g.live & ~boundary)
+            and all(not _union(masks, miss) & miss
+                    for miss in (h & ~masks[v] for v in iter_bits(boundary))))
 
 
 def cohandle_is_max_interesting(g: Graph, found: GeneralizedHandle) -> bool:
     """The co-handle of a found handle is a maximal interesting set of the
     complement; verified by the brute-force check."""
-    return brute_maximal_interesting_check(complement(g), found.cohandle)
+    return brute_maximal_interesting_check(_complement(_view(g)), found.cohandle)
 
 
-def interesting_gives_handle_check(g: Graph, tset: Iterable[int]) -> bool:
+def interesting_gives_handle_check(g: Graph | MaskGraph, tset: Iterable[int]) -> bool:
     """A maximal interesting set T of g yields a handle of the complement: any
     co-connected component H of the subgraph on T's complete set with at least
     two vertices is a handle there, with T as a co-handle."""
-    _require(g.n, MAX_SUBSET_N, "interesting-to-handle check")
-    members = set(tset)
-    _require_in_range(g, members, "handle checks")
-    cset = common_complete(g, members)
-    if is_clique(g, cset):
+    g = _view(g, MAX_SUBSET_N, "interesting-to-handle check")
+    t = _members(g, tset, "handle checks")
+    if not t:
+        raise GraphError("an interesting set is nonempty")
+    complete = _complete(g, t)
+    if _is_clique(g.masks, complete):
         raise GraphError("the complete set of an interesting set cannot be a clique")
-    gc = complement(g)
-    big = [comp for comp in components(gc, cset) if len(comp) >= 2]
+    gc = _complement(g)
+    big = next((comp for comp in _components(gc.masks, complete) if comp & comp - 1), 0)
     assert big, "a non-clique set always has a co-connected part with an edge"
-    return is_generalized_handle(gc, big[0], members)
+    return is_generalized_handle(gc, iter_bits(big), iter_bits(t))

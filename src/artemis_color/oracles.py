@@ -18,18 +18,25 @@ vertices of degree 3 and the rest of degree 2 is a prism exactly when its
 degree-3 vertices split into triangles A and B such that the three walks
 leaving A by non-triangle edges end in B and, with the triangles, cover the
 set; under those degrees each walk is a path, and what they miss is a cycle.
-The detectors and the path oracles read adjacency only from their own bitmasks.
 Both path enumerations run one chordless-path walker, and the minimal
 outer-path check looks its path up in the outer-path enumeration.
+
+Every oracle takes a :class:`Graph` or a :class:`MaskGraph`, neighbor bitmasks
+keyed by vertex id plus the mask of the live vertices, and reads only bitmasks;
+one adapter turns a ``Graph`` into a view in its dense ids.  Ids need not be
+dense: contraction merges two masks and moves no id, and only the order of
+the ids shows, so verdicts, witnesses and paths follow any monotone renaming.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from operator import and_, or_
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .graphs import Graph, GraphError, common_complete, components, contract, is_clique
+from .graphs import Graph, GraphError
 
 ODD_HOLE = "odd_hole"
 ANTIHOLE = "antihole"
@@ -43,6 +50,7 @@ MAX_SUBSET_N = 12
 MAX_BB_N = 16
 
 
+
 class BudgetExceeded(RuntimeError):
     """The input is larger than the oracle is willing to handle."""
 
@@ -54,21 +62,6 @@ class StructureWitness:
 
     kind: str
     vertices: tuple[int, ...]
-
-
-def _require(value: int, cap: int, what: str) -> None:
-    if value > cap:
-        raise BudgetExceeded(f"{what}: size {value} exceeds the budget of {cap}")
-
-
-def _require_pair(g: Graph, x: int, y: int, what: str) -> None:
-    if x == y or not (0 <= x < g.n and 0 <= y < g.n):
-        raise GraphError(f"{what} need two distinct vertices in range")
-
-
-def _require_in_range(g: Graph, vertices: Iterable[int], what: str) -> None:
-    if not all(0 <= v < g.n for v in vertices):
-        raise GraphError(f"{what} need vertices in range")
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -86,22 +79,103 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+class MaskGraph(NamedTuple):
+    """Immutable graph view the oracles run on: ``masks[v]`` is the neighbor
+    bitmask of the live vertex v and ``live`` the mask of the live vertices.
+    Each mask holds live vertices only; ``masks`` is indexed by vertex id,
+    no oracle reads its entries at other ids, and nothing mutates it."""
+
+    masks: Sequence[int]
+    live: int
+
+    def merge(self, a: int, b: int) -> MaskGraph:
+        """The view with the non-adjacent live vertices a and b merged: the
+        smaller id keeps the union of both neighborhoods and the larger one
+        leaves; no other id moves."""
+        _require_pair(self, a, b, "contractions")
+        masks = self.masks
+        if masks[a] >> b & 1:
+            raise GraphError(f"vertices {a} and {b} are adjacent; "
+                             "contraction of an edge is undefined")
+        lo, hi = (a, b) if a < b else (b, a)
+        live = self.live & ~(1 << hi)
+        merged = [m & live | (m >> hi & 1) << lo for m in masks]
+        merged[lo] = masks[lo] | masks[hi]
+        return MaskGraph(merged, live)
+
+
 def _neighbor_masks(g: Graph) -> list[int]:
     """Neighborhood of every vertex as a bitmask, indexed by vertex."""
     return [mask_of(g.adj[v]) for v in g.vertices]
+
+
+def _view(g: Graph | MaskGraph, cap: int | None = None, what: str = "") -> MaskGraph:
+    """g if it is a view, else the view of the graph g in its dense ids;
+    refused with BudgetExceeded past cap vertices, before any mask is built."""
+    size = g.live.bit_count() if isinstance(g, MaskGraph) else g.n
+    if cap is not None and size > cap:
+        raise BudgetExceeded(f"{what}: size {size} exceeds the budget of {cap}")
+    return g if isinstance(g, MaskGraph) else MaskGraph(_neighbor_masks(g), (1 << g.n) - 1)
+
+
+def _require_pair(g: MaskGraph, x: int, y: int, what: str) -> None:
+    if x == y or x < 0 or y < 0 or not g.live >> x & g.live >> y & 1:
+        raise GraphError(f"{what} need two distinct vertices in range")
+
+
+def _members(g: MaskGraph, vertices: Iterable[int], what: str) -> int:
+    """Mask of the vertices, which must all be live in g."""
+    mask = 0
+    for v in vertices:
+        if v < 0 or not g.live >> v & 1:
+            raise GraphError(f"{what} need vertices in range")
+        mask |= 1 << v
+    return mask
+
+
+def _union(masks: Sequence[int], s: int) -> int:
+    """Every neighbor of a vertex of s."""
+    return reduce(or_, map(masks.__getitem__, iter_bits(s)), 0)
+
+
+def _complete(g: MaskGraph, t: int) -> int:
+    """Vertices outside t adjacent to every vertex of t."""
+    return reduce(and_, map(g.masks.__getitem__, iter_bits(t)), g.live & ~t)
+
+
+def _is_clique(masks: Sequence[int], s: int) -> bool:
+    """Every pair inside s is adjacent; the empty set is a clique."""
+    return all(s & ~masks[v] == 1 << v for v in iter_bits(s))
+
+
+def _components(masks: Sequence[int], within: int) -> Iterator[int]:
+    """Components of the subgraph on within, by smallest member."""
+    while within:
+        comp = frontier = within & -within
+        while frontier:
+            frontier = _union(masks, frontier) & within & ~comp
+            comp |= frontier
+        within &= ~comp
+        yield comp
+
+
+def _complement(g: MaskGraph) -> MaskGraph:
+    live, masks = g.live, g.masks
+    return MaskGraph([live & ~m & ~(1 << v) if live >> v & 1 else 0
+                      for v, m in enumerate(masks)], live)
 
 
 # (root, floor) pairs: a search from a root walks only the floor's vertices.
 Starts = Sequence[tuple[int, int]]
 
 
-def _starts(n: int, through: int | None = None) -> list[tuple[int, int]]:
-    """Every vertex v with the vertices above v, which meets each structure
-    once, at its smallest vertex; or the one vertex through with every other
-    vertex, which meets each structure through it once."""
+def _starts(live: int, through: int | None = None) -> list[tuple[int, int]]:
+    """Every live vertex v with the live vertices above v, which meets each
+    structure once, at its smallest vertex; or the one vertex through with
+    every other live vertex, which meets each structure through it once."""
     if through is None:
-        return [(v, -(2 << v)) for v in range(n)]
-    return [(through, ~(1 << through))]
+        return [(v, live & -(2 << v)) for v in range(live.bit_length()) if live >> v & 1]
+    return [(through, live & ~(1 << through))]
 
 
 def _first_hole(masks: Sequence[int], starts: Starts, min_len: int,
@@ -235,46 +309,42 @@ def _prism_check(masks: Sequence[int], subset: tuple[int, ...]) -> bool:
     return False
 
 
-def _odd_hole(masks: Sequence[int], starts: Starts) -> StructureWitness | None:
-    hole = _first_hole(masks, starts, 5, True)
-    return None if hole is None else StructureWitness(ODD_HOLE, hole)
+def _first_structure(g: MaskGraph, starts: Starts,
+                     kinds: Sequence[str] = (ODD_HOLE, ANTIHOLE, PRISM),
+                     ) -> StructureWitness | None:
+    """The first witness of the first of kinds that g has through a root of starts."""
+    for kind in kinds:
+        if kind == ODD_HOLE:
+            found = _first_hole(g.masks, starts, 5, True)
+        elif kind == ANTIHOLE:
+            found = _first_hole(_complement(g).masks, starts, 6, False)
+        else:
+            found = _first_prism(g.masks, starts)
+        if found is not None:
+            return StructureWitness(kind, found)
+    return None
 
 
-def _antihole(masks: Sequence[int], starts: Starts) -> StructureWitness | None:
-    full = (1 << len(masks)) - 1
-    co_masks = [full & ~mask & ~(1 << v) for v, mask in enumerate(masks)]
-    hole = _first_hole(co_masks, starts, 6, False)
-    return None if hole is None else StructureWitness(ANTIHOLE, hole)
-
-
-def _prism(masks: Sequence[int], starts: Starts) -> StructureWitness | None:
-    prism = _first_prism(masks, starts)
-    return None if prism is None else StructureWitness(PRISM, prism)
-
-
-def find_odd_hole(g: Graph) -> StructureWitness | None:
+def find_odd_hole(g: Graph | MaskGraph) -> StructureWitness | None:
     """First chordless odd cycle of length at least five."""
-    _require(g.n, MAX_SUBSET_N, "odd-hole detector")
-    return _odd_hole(_neighbor_masks(g), _starts(g.n))
+    g = _view(g, MAX_SUBSET_N, "odd-hole detector")
+    return _first_structure(g, _starts(g.live), (ODD_HOLE,))
 
 
-def find_antihole(g: Graph) -> StructureWitness | None:
+def find_antihole(g: Graph | MaskGraph) -> StructureWitness | None:
     """First antihole of length at least six; a five-antihole is a five-hole."""
-    _require(g.n, MAX_SUBSET_N, "antihole detector")
-    return _antihole(_neighbor_masks(g), _starts(g.n))
+    g = _view(g, MAX_SUBSET_N, "antihole detector")
+    return _first_structure(g, _starts(g.live), (ANTIHOLE,))
 
 
-def find_prism(g: Graph) -> StructureWitness | None:
+def find_prism(g: Graph | MaskGraph) -> StructureWitness | None:
     """First prism: two disjoint triangles joined by three disjoint paths."""
-    _require(g.n, MAX_SUBSET_N, "prism detector")
-    return _prism(_neighbor_masks(g), _starts(g.n))
+    g = _view(g, MAX_SUBSET_N, "prism detector")
+    return _first_structure(g, _starts(g.live), (PRISM,))
 
 
-def _first_structure(masks: Sequence[int], starts: Starts) -> StructureWitness | None:
-    return _odd_hole(masks, starts) or _antihole(masks, starts) or _prism(masks, starts)
-
-
-def is_artemis(g: Graph, *, through: int | None = None) -> tuple[bool, StructureWitness | None]:
+def is_artemis(g: Graph | MaskGraph, *,
+               through: int | None = None) -> tuple[bool, StructureWitness | None]:
     """Class membership: no odd hole, no antihole of length five or more, no
     prism.  Returns the verdict with the first witness, odd holes before
     antiholes before prisms, if any.
@@ -283,14 +353,13 @@ def is_artemis(g: Graph, *, through: int | None = None) -> tuple[bool, Structure
     class.  The class is closed under induced subgraphs, so only structures
     through that vertex can be left; the scan searches those first and runs
     in full only when it finds one, so the result is that of ``is_artemis(g)``."""
-    _require(g.n, MAX_SUBSET_N, "class scan")
-    masks = _neighbor_masks(g)
+    g = _view(g, MAX_SUBSET_N, "class scan")
     if through is not None:
-        if not 0 <= through < g.n:
+        if through < 0 or not g.live >> through & 1:
             raise GraphError("the class scan needs its through vertex in range")
-        if _first_structure(masks, _starts(g.n, through)) is None:
+        if _first_structure(g, _starts(g.live, through)) is None:
             return True, None
-    witness = _first_structure(masks, _starts(g.n))
+    witness = _first_structure(g, _starts(g.live))
     return witness is None, witness
 
 
@@ -319,37 +388,35 @@ def _chordless_paths(masks: Sequence[int], start: int, interior: int,
     return result
 
 
-def enumerate_chordless_paths(g: Graph, x: int, y: int) -> list[tuple[int, ...]]:
+
+
+def enumerate_chordless_paths(g: Graph | MaskGraph, x: int, y: int) -> list[tuple[int, ...]]:
     """All chordless paths from x to y, in lexicographic order."""
-    _require(g.n, MAX_SUBSET_N, "chordless-path enumeration")
+    g = _view(g, MAX_SUBSET_N, "chordless-path enumeration")
     _require_pair(g, x, y, "chordless paths")
-    return _chordless_paths(_neighbor_masks(g), x, (1 << g.n) - 1, 1 << y)
+    return _chordless_paths(g.masks, x, g.live, 1 << y)
 
 
-def is_even_pair_exact(g: Graph, x: int, y: int) -> bool:
+def is_even_pair_exact(g: Graph | MaskGraph, x: int, y: int) -> bool:
     """True when every chordless path between the non-adjacent pair has even
     length; vacuously true when no path exists."""
+    g = _view(g, MAX_SUBSET_N, "chordless-path enumeration")
     _require_pair(g, x, y, "even pairs")
-    if y in g.adj[x]:
+    if g.masks[x] >> y & 1:
         raise GraphError("even pairs are defined for non-adjacent vertices")
-    paths = enumerate_chordless_paths(g, x, y)
-    return all((len(p) - 1) % 2 == 0 for p in paths)
+    return all(len(p) % 2 for p in enumerate_chordless_paths(g, x, y))
 
 
-def is_special_even_pair_exact(g: Graph, x: int, y: int) -> bool:
+def is_special_even_pair_exact(g: Graph | MaskGraph, x: int, y: int) -> bool:
     """An even pair whose contraction leaves a prism-free graph."""
-    if not is_even_pair_exact(g, x, y):
-        return False
-    merged, _ = contract(g, x, y)
-    return find_prism(merged) is None
+    g = _view(g, MAX_SUBSET_N, "chordless-path enumeration")
+    return is_even_pair_exact(g, x, y) and find_prism(g.merge(x, y)) is None
 
 
-def max_clique_exact(g: Graph) -> int:
+def max_clique_exact(g: Graph | MaskGraph) -> int:
     """Largest clique size by branch and bound over candidate bitmasks."""
-    _require(g.n, MAX_BB_N, "max-clique search")
-    if g.n == 0:
-        return 0
-    masks = _neighbor_masks(g)
+    g = _view(g, MAX_BB_N, "max-clique search")
+    masks = g.masks
     best = 0
 
     def expand(cand: int, size: int) -> None:
@@ -364,106 +431,91 @@ def max_clique_exact(g: Graph) -> int:
             cand ^= low
             expand(cand & masks[v], size + 1)
 
-    expand((1 << g.n) - 1, 0)
+    expand(g.live, 0)
     return best
 
 
-def chromatic_number_exact(g: Graph) -> int:
+def chromatic_number_exact(g: Graph | MaskGraph) -> int:
     """Smallest color count admitting a proper coloring, by backtracking with
     a clique lower bound."""
-    _require(g.n, MAX_BB_N, "chromatic-number search")
-    if g.n == 0:
-        return 0
+    g = _view(g, MAX_BB_N, "chromatic-number search")
     return _chromatic_from(g, max_clique_exact(g))
 
 
-def _chromatic_from(g: Graph, lower: int) -> int:
-    """Chromatic number of a nonempty g, searched upward from ``lower``, its
-    clique number."""
-    order = sorted(g.vertices, key=lambda v: (-len(g.adj[v]), v))
-    n = g.n
+def _chromatic_from(g: MaskGraph, lower: int) -> int:
+    """Chromatic number of g, searched upward from ``lower``, its clique
+    number.  Vertices are placed by descending degree, each in the first
+    color class it sees nothing of, or else in a new class."""
+    masks = g.masks
+    order = sorted(iter_bits(g.live), key=lambda v: (-masks[v].bit_count(), v))
 
-    def colorable(k: int) -> bool:
-        assigned: dict[int, int] = {}
-
-        def place(i: int) -> bool:
-            if i == n:
+    def colorable(i: int, classes: tuple[int, ...], k: int) -> bool:
+        """order[i:] fits into the color classes, k classes at most."""
+        if i == len(order):
+            return True
+        v = order[i]
+        for c, members in enumerate(classes):
+            if not members & masks[v] and colorable(
+                    i + 1, classes[:c] + (members | 1 << v,) + classes[c + 1:], k):
                 return True
-            v = order[i]
-            used_new = max(assigned.values(), default=-1) + 1
-            taken = {assigned[w] for w in g.adj[v] if w in assigned}
-            for c in range(min(used_new + 1, k)):
-                if c in taken:
-                    continue
-                assigned[v] = c
-                if place(i + 1):
-                    return True
-                del assigned[v]
-            return False
-
-        return place(0)
+        return len(classes) < k and colorable(i + 1, classes + (1 << v,), k)
 
     k = lower
-    while not colorable(k):
+    while not colorable(0, (), k):
         k += 1
     return k
 
 
-def is_interesting_set(g: Graph, tset: Iterable[int]) -> bool:
+def _interesting_complete(g: MaskGraph, t: int) -> int | None:
+    """The complete set of t when t is interesting in g, else None."""
+    if not t:
+        return None
+    co = [t & ~m for m in g.masks]
+    if next(_components(co, t)) != t:
+        return None
+    complete = _complete(g, t)
+    return None if _is_clique(g.masks, complete) else complete
+
+
+def is_interesting_set(g: Graph | MaskGraph, tset: Iterable[int]) -> bool:
     """Nonempty, connected in the complement, and with a complete neighborhood
     that is not a clique."""
-    members = set(tset)
-    _require_in_range(g, members, "interesting sets")
-    if not members:
-        return False
-    seed = min(members)
-    seen = {seed}
-    stack = [seed]
-    while stack:
-        u = stack.pop()
-        for w in members - g.adj[u]:
-            if w != u and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if seen != members:
-        return False
-    return not is_clique(g, common_complete(g, members))
+    g = _view(g)
+    return _interesting_complete(g, _members(g, tset, "interesting sets")) is not None
 
 
-def brute_maximal_interesting_check(g: Graph, tset: Iterable[int]) -> bool:
+def brute_maximal_interesting_check(g: Graph | MaskGraph, tset: Iterable[int]) -> bool:
     """T is interesting and no outside vertex has a non-clique neighborhood
     inside T's complete set (which would let T grow)."""
-    _require(g.n, MAX_SUBSET_N, "maximal-interesting check")
-    members = set(tset)
-    if not is_interesting_set(g, members):
+    g = _view(g, MAX_SUBSET_N, "maximal-interesting check")
+    t = _members(g, tset, "interesting sets")
+    complete = _interesting_complete(g, t)
+    if complete is None:
         return False
-    complete = common_complete(g, members)
-    outside = set(g.vertices) - members - complete
-    return all(is_clique(g, g.adj[u] & complete) for u in outside)
+    masks = g.masks
+    return all(_is_clique(masks, masks[u] & complete)
+               for u in iter_bits(g.live & ~t & ~complete))
 
 
-def enumerate_outer_paths(g: Graph, tset: Iterable[int],
+def enumerate_outer_paths(g: Graph | MaskGraph, tset: Iterable[int],
                           cset: Iterable[int]) -> list[tuple[int, ...]]:
     """All T-outer paths: chordless, both endpoints complete, at least one
     interior vertex, interior disjoint from T and the complete set.  Each path
     is listed once, with its smaller endpoint first, in lexicographic order."""
-    _require(g.n, MAX_SUBSET_N, "outer-path enumeration")
-    tset = set(tset)
-    cset = set(cset)
-    _require_in_range(g, tset | cset, "outer paths")
-    masks = _neighbor_masks(g)
-    cmask = mask_of(cset)
-    interior = (1 << g.n) - 1 & ~mask_of(tset | cset)
-    return [path for start in sorted(cset)
-            for path in _chordless_paths(masks, start, interior, cmask & -(2 << start))
+    g = _view(g, MAX_SUBSET_N, "outer-path enumeration")
+    t, c = _members(g, tset, "outer paths"), _members(g, cset, "outer paths")
+    interior = g.live & ~(t | c)
+    return [path for start in iter_bits(c)
+            for path in _chordless_paths(g.masks, start, interior, c & -(2 << start))
             if len(path) > 2]
 
 
-def brute_minimal_outer_path_check(g: Graph, tset: Iterable[int], cset: Iterable[int],
-                                   verts: Sequence[int]) -> bool:
+def brute_minimal_outer_path_check(g: Graph | MaskGraph, tset: Iterable[int],
+                                   cset: Iterable[int], verts: Sequence[int]) -> bool:
     """The path ``verts`` is a T-outer path of even length at least four and no
     other T-outer path has its interior strictly inside this one's."""
-    _require_in_range(g, verts, "outer paths")
+    g = _view(g, MAX_SUBSET_N, "outer-path enumeration")
+    _members(g, verts, "outer paths")
     outer = enumerate_outer_paths(g, tset, cset)
     path = min(tuple(verts), tuple(verts)[::-1])
     length = len(path) - 1
@@ -473,27 +525,22 @@ def brute_minimal_outer_path_check(g: Graph, tset: Iterable[int], cset: Iterable
     return not any(set(other[1:-1]) < interior for other in outer)
 
 
-def outer_path_exists_criterion(g: Graph, tset: Iterable[int],
+def outer_path_exists_criterion(g: Graph | MaskGraph, tset: Iterable[int],
                                 cset: Iterable[int]) -> bool:
     """Existence test for T-outer paths: some component of the leftover
     vertices meets the complete set in a non-clique."""
-    tset = set(tset)
-    cset = set(cset)
-    _require_in_range(g, tset | cset, "outer paths")
-    for comp in components(g, set(g.vertices) - tset - cset):
-        boundary: set[int] = set()
-        for v in comp:
-            boundary |= g.adj[v]
-        if not is_clique(g, boundary & cset):
-            return True
-    return False
+    g = _view(g)
+    t, c = _members(g, tset, "outer paths"), _members(g, cset, "outer paths")
+    masks = g.masks
+    return any(not _is_clique(masks, _union(masks, comp) & c)
+               for comp in _components(masks, g.live & ~t & ~c))
 
 
-def fonlupt_uhry_check(g: Graph, x: int, y: int) -> bool:
+def fonlupt_uhry_check(g: Graph | MaskGraph, x: int, y: int) -> bool:
     """Contracting an even pair changes neither the chromatic number nor the
     largest clique size; checked exactly on both sides."""
-    _require(g.n, MAX_BB_N, "contraction invariance check")
-    merged, _ = contract(g, x, y)
+    g = _view(g, MAX_BB_N, "contraction invariance check")
+    merged = g.merge(x, y)
     omega, omega_merged = max_clique_exact(g), max_clique_exact(merged)
     return (omega == omega_merged
             and _chromatic_from(g, omega) == _chromatic_from(merged, omega_merged))

@@ -7,7 +7,7 @@ import pytest
 
 from artemis_color import Coloring, color_artemis, complement, generate, new_graph, random_graph
 from artemis_color.cli import _parser, main
-from artemis_color.dimacs import DimacsError, parse_dimacs, write_coloring, write_dimacs
+from artemis_color.dimacs import MAX_VERTICES, DimacsError, parse_dimacs, write_coloring, write_dimacs
 
 from conftest import cycle_graph, prism_graph
 
@@ -42,6 +42,13 @@ def test_parse_missing_p():
 def test_parse_self_loop():
     with pytest.raises(DimacsError, match="self-loop"):
         parse_dimacs("p edge 2 1\ne 2 2")
+
+
+def test_parse_caps_the_declared_vertex_count():
+    # A 20-byte header must not be able to ask for a graph of a billion vertices.
+    with pytest.raises(DimacsError, match="line 2: vertex count 1000000000 exceeds the limit"):
+        parse_dimacs("c big\np edge 1000000000 0")
+    assert parse_dimacs(f"p edge {MAX_VERTICES} 0").n == MAX_VERTICES == 100_000
 
 
 def test_parse_warnings():
@@ -125,6 +132,14 @@ def test_cli_color_parse_error(tmp_path):
     broken = tmp_path / "broken.col"
     broken.write_text("p edge 2 1\ne 1 9\n")
     assert main(["color", str(broken)]) == 2
+
+
+@pytest.mark.parametrize("command", ["color", "detect"])
+def test_cli_refuses_a_vertex_count_over_the_limit(command, tmp_path, capsys):
+    huge = tmp_path / "huge.col"
+    huge.write_text(f"p edge {MAX_VERTICES + 1} 0\n")
+    assert main([command, str(huge)]) == 2
+    assert "exceeds the limit of 100000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("source", ["file", "stdin"])

@@ -10,6 +10,8 @@ from artemis_color import (
     PRISM,
     BudgetExceeded,
     GraphError,
+    MaskGraph,
+    OpCounters,
     StructureWitness,
     bipartite,
     brute_maximal_interesting_check,
@@ -21,15 +23,19 @@ from artemis_color import (
     enumerate_chordless_paths,
     filtered_random,
     find_antihole,
+    find_interesting,
     find_odd_hole,
     find_prism,
     fonlupt_uhry_check,
+    common_complete,
     induced,
+    interesting_gives_handle_check,
     is_artemis,
     is_even_pair_exact,
     is_interesting_set,
     is_special_even_pair_exact,
     max_clique_exact,
+    MaximalInteresting,
     new_graph,
     outer_path_exists_criterion,
     random_graph,
@@ -614,3 +620,68 @@ def test_fonlupt_uhry():
     assert fonlupt_uhry_check(g, 0, 2)
     # Odd pair: merging 0 and 2 of C5 closes the triangle {0, 3, 4}.
     assert not fonlupt_uhry_check(cycle_graph(5), 0, 2)
+
+
+# --- mask views against Graph inputs ------------------------------------------
+
+def test_mask_views_agree_with_induced_graphs():
+    # A view of a domain in the input's ids must give what the same oracle
+    # gives on the induced Graph, with witnesses and paths in the input's ids.
+    rng = random.Random(26)
+    seen = {"outside the class": 0, "interesting": 0, "outer paths": 0}
+    for _ in range(150):
+        n = rng.randrange(2, 13)
+        g = random_graph(n, rng.choice((0.25, 0.4, 0.55, 0.7)), rng.randrange(10**6))
+        domain = frozenset(v for v in range(n) if rng.random() < 0.8) or frozenset({0})
+        sub, old_ids = induced(g, domain)
+        new_id = {old: new for new, old in enumerate(old_ids)}
+        view = MaskGraph([mask_of(g.adj[v] & domain) if v in domain else 0 for v in range(n)],
+                         mask_of(domain))
+
+        def old(seq):
+            return tuple(old_ids[i] for i in seq)
+
+        def in_old_ids(result):
+            ok, witness = result
+            return ok, witness and StructureWitness(witness.kind, old(witness.vertices))
+
+        assert is_artemis(view) == in_old_ids(is_artemis(sub))
+        seen["outside the class"] += not is_artemis(view)[0]
+        for v in domain:
+            assert is_artemis(view, through=v) == in_old_ids(is_artemis(sub, through=new_id[v]))
+        assert find_prism(view) == in_old_ids((None, find_prism(sub)))[1]
+        assert max_clique_exact(view) == max_clique_exact(sub)
+        assert chromatic_number_exact(view) == chromatic_number_exact(sub)
+        for x, y in combinations(sorted(domain), 2):
+            a, b = new_id[x], new_id[y]
+            if y in g.adj[x]:
+                continue
+            assert enumerate_chordless_paths(view, x, y) == [
+                old(p) for p in enumerate_chordless_paths(sub, a, b)]
+            for check in (is_even_pair_exact, is_special_even_pair_exact, fonlupt_uhry_check):
+                assert check(view, x, y) == check(sub, a, b)
+        level = find_interesting(sub, set(sub.vertices), OpCounters())
+        tsets = [set(rng.sample(sorted(domain), rng.randrange(1, 3) if len(domain) > 1 else 1))]
+        if isinstance(level, MaximalInteresting):
+            tsets.append(set(old(sorted(level.tset))))
+        for tset in tsets:
+            t_new = {new_id[v] for v in tset}
+            assert is_interesting_set(view, tset) == is_interesting_set(sub, t_new)
+            assert (brute_maximal_interesting_check(view, tset)
+                    == brute_maximal_interesting_check(sub, t_new))
+            if not is_interesting_set(sub, t_new):
+                continue
+            seen["interesting"] += 1
+            assert interesting_gives_handle_check(view, tset) == \
+                interesting_gives_handle_check(sub, t_new)
+            c_new = common_complete(sub, t_new)
+            cset = set(old(sorted(c_new)))
+            assert outer_path_exists_criterion(view, tset, cset) == \
+                outer_path_exists_criterion(sub, t_new, c_new)
+            outer = enumerate_outer_paths(sub, t_new, c_new)
+            assert enumerate_outer_paths(view, tset, cset) == [old(p) for p in outer]
+            seen["outer paths"] += bool(outer)
+            for path in outer:
+                assert brute_minimal_outer_path_check(view, tset, cset, old(path)) == \
+                    brute_minimal_outer_path_check(sub, t_new, c_new, path)
+    assert all(count >= 20 for count in seen.values()), seen
