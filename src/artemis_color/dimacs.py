@@ -12,8 +12,7 @@ from typing import Callable
 from .engine import Coloring
 from .graphs import Graph, new_graph
 
-# Largest declared vertex count: every declared vertex costs memory even
-# without edges, so a tiny file must not ask for gigabytes.
+# Largest declared vertex count: each costs memory even without edges.
 MAX_VERTICES = 100_000
 
 

@@ -50,7 +50,6 @@ MAX_SUBSET_N = 12
 MAX_BB_N = 16
 
 
-
 class BudgetExceeded(RuntimeError):
     """The input is larger than the oracle is willing to handle."""
 
@@ -98,10 +97,11 @@ class MaskGraph(NamedTuple):
             raise GraphError(f"vertices {a} and {b} are adjacent; "
                              "contraction of an edge is undefined")
         lo, hi = (a, b) if a < b else (b, a)
-        live = self.live & ~(1 << hi)
-        merged = [m & live | (m >> hi & 1) << lo for m in masks]
-        merged[lo] = masks[lo] | masks[hi]
-        return MaskGraph(merged, live)
+        merged = list(masks)
+        for v in iter_bits(masks[hi]):
+            merged[v] = masks[v] & ~(1 << hi) | 1 << lo
+        merged[lo], merged[hi] = masks[lo] | masks[hi], 0
+        return MaskGraph(merged, self.live & ~(1 << hi))
 
 
 def _neighbor_masks(g: Graph) -> list[int]:
@@ -125,12 +125,10 @@ def _require_pair(g: MaskGraph, x: int, y: int, what: str) -> None:
 
 def _members(g: MaskGraph, vertices: Iterable[int], what: str) -> int:
     """Mask of the vertices, which must all be live in g."""
-    mask = 0
-    for v in vertices:
-        if v < 0 or not g.live >> v & 1:
-            raise GraphError(f"{what} need vertices in range")
-        mask |= 1 << v
-    return mask
+    vertices = list(vertices)
+    if any(v < 0 or not g.live >> v & 1 for v in vertices):
+        raise GraphError(f"{what} need vertices in range")
+    return mask_of(vertices)
 
 
 def _union(masks: Sequence[int], s: int) -> int:
@@ -160,9 +158,10 @@ def _components(masks: Sequence[int], within: int) -> Iterator[int]:
 
 
 def _complement(g: MaskGraph) -> MaskGraph:
-    live, masks = g.live, g.masks
-    return MaskGraph([live & ~m & ~(1 << v) if live >> v & 1 else 0
-                      for v, m in enumerate(masks)], live)
+    live, co = g.live, [0] * len(g.masks)
+    for v in iter_bits(live):
+        co[v] = live & ~g.masks[v] & ~(1 << v)
+    return MaskGraph(co, live)
 
 
 # (root, floor) pairs: a search from a root walks only the floor's vertices.
@@ -388,8 +387,6 @@ def _chordless_paths(masks: Sequence[int], start: int, interior: int,
     return result
 
 
-
-
 def enumerate_chordless_paths(g: Graph | MaskGraph, x: int, y: int) -> list[tuple[int, ...]]:
     """All chordless paths from x to y, in lexicographic order."""
     g = _view(g, MAX_SUBSET_N, "chordless-path enumeration")
@@ -468,10 +465,7 @@ def _chromatic_from(g: MaskGraph, lower: int) -> int:
 
 def _interesting_complete(g: MaskGraph, t: int) -> int | None:
     """The complete set of t when t is interesting in g, else None."""
-    if not t:
-        return None
-    co = [t & ~m for m in g.masks]
-    if next(_components(co, t)) != t:
+    if not t or next(_components(_complement(g).masks, t)) != t:
         return None
     complete = _complete(g, t)
     return None if _is_clique(g.masks, complete) else complete

@@ -6,11 +6,10 @@ cross-checked against the brute-force oracles.  Failures are collected, not
 raised, so a whole run can be audited in one pass.
 
 The oracles run on :class:`oracles.MaskGraph` views in the input's vertex
-ids, so the verifier builds no :class:`Graph` and keeps no id map.  A level
-below the top is read straight from the working graph.  The whole graph's
-view, the replica, is built at the first whole-graph hook of a run within the
-oracle budget and advanced by :meth:`oracles.MaskGraph.merge` at each
-contraction, or read afresh if the driver renumbered the graph.
+ids, read straight from the working graph, so the verifier builds no
+:class:`Graph` and keeps no id map.  The whole graph's view, the replica, is
+read at the first whole-graph hook of a run within the oracle budget and again
+after each contraction, and kept to check the next contraction against.
 
 Each contracted replica gets one class scan, :func:`oracles.is_artemis`.  It
 passes ``through``, the merged vertex, only when the replica before the merge
@@ -29,10 +28,10 @@ from .engine import (DisjointCliques, InterestingSetResult, OuterPath, PipelineO
                      WorkingGraph)
 from .graphs import Graph
 from .handles import interesting_gives_handle_check
-from .oracles import (MAX_SUBSET_N, PRISM, MaskGraph, brute_maximal_interesting_check,
-                      brute_minimal_outer_path_check, find_prism, fonlupt_uhry_check, is_artemis,
-                      is_even_pair_exact, is_special_even_pair_exact, mask_of,
-                      outer_path_exists_criterion)
+from .oracles import (MAX_SUBSET_N, PRISM, MaskGraph, _complete,
+                      brute_maximal_interesting_check, brute_minimal_outer_path_check,
+                      find_prism, fonlupt_uhry_check, is_artemis, is_even_pair_exact,
+                      is_special_even_pair_exact, mask_of, outer_path_exists_criterion)
 
 
 def _view_of(g: WorkingGraph | Graph, domain: frozenset[int] | set[int]) -> MaskGraph:
@@ -84,20 +83,17 @@ class OracleVerifier(PipelineObserver):
         if len(domain) > MAX_SUBSET_N:
             return
         level = self._level(g, domain)
-        masks = level.masks
         if isinstance(result, DisjointCliques):
             # The parts are the clique components exactly when they partition
             # the level and each is the closed neighborhood of its members.
             parts = [mask_of(part) for part in result.cliques]
             good = (sum(part.bit_count() for part in parts) == len(domain)
-                    and set(parts) == {masks[v] | 1 << v for v in domain})
+                    and set(parts) == {level.masks[v] | 1 << v for v in domain})
             self._record("disjoint_cliques", good,
                          f"partition {sorted(map(sorted, result.cliques))} "
                          "is not the clique components of the level")
             return
-        complete = level.live & ~mask_of(result.tset)
-        for v in result.tset:
-            complete &= masks[v]
+        complete = _complete(level, mask_of(result.tset))
         self._record("interesting_maximal",
                      brute_maximal_interesting_check(level, result.tset),
                      f"set {sorted(result.tset)} is not maximal interesting in its level")
@@ -135,9 +131,7 @@ class OracleVerifier(PipelineObserver):
         before = self._replica
         if before is None:  # the graph before the merge exceeded the budget
             return
-        after = before.merge(a, b)
-        if after.live != mask_of(g.vertices):  # renumbered, as by graphs.contract
-            after = _view_of(g, set(g.vertices))
+        after = _view_of(g, set(g.vertices))
         self._source, self._replica = g, after
         even = is_even_pair_exact(before, a, b)
         ok, witness = is_artemis(after, through=min(a, b) if self._in_class else None)
@@ -146,11 +140,8 @@ class OracleVerifier(PipelineObserver):
         # already settles the prism question unless it stopped at an odd hole
         # or an antihole first.
         special = even and (ok or (witness.kind != PRISM and find_prism(after) is None))
-        self._record("pair_even", even,
-                     f"contracted pair ({a}, {b}) is not an even pair")
-        self._record("pair_special", special,
-                     f"contracted pair ({a}, {b}) is not special")
+        self._record("pair_even", even, f"contracted pair ({a}, {b}) is not an even pair")
+        self._record("pair_special", special, f"contracted pair ({a}, {b}) is not special")
         self._record("pair_invariance", fonlupt_uhry_check(before, a, b),
                      f"contracting ({a}, {b}) changed the color or clique number")
-        self._record("class_preserved", ok,
-                     f"contracting ({a}, {b}) left the class: {witness}")
+        self._record("class_preserved", ok, f"contracting ({a}, {b}) left the class: {witness}")

@@ -660,6 +660,12 @@ def test_mask_views_agree_with_induced_graphs():
                 old(p) for p in enumerate_chordless_paths(sub, a, b)]
             for check in (is_even_pair_exact, is_special_even_pair_exact, fonlupt_uhry_check):
                 assert check(view, x, y) == check(sub, a, b)
+            # The merge keeps the smaller id, as contract does after renumbering.
+            merged, kept = view.merge(x, y), [v for v in old_ids if v != max(x, y)]
+            dense, _ = contract(sub, a, b)
+            assert merged.live == mask_of(kept)
+            assert [merged.masks[v] for v in kept] == [
+                mask_of(kept[w] for w in dense.adj[i]) for i in range(dense.n)]
         level = find_interesting(sub, set(sub.vertices), OpCounters())
         tsets = [set(rng.sample(sorted(domain), rng.randrange(1, 3) if len(domain) > 1 else 1))]
         if isinstance(level, MaximalInteresting):
