@@ -28,20 +28,7 @@ from .engine import (
     lift_coloring,
 )
 from .generators import bipartite, chordal, filtered_random, generate, random_graph
-from .graphs import (
-    ContractionStep,
-    ContractionTrace,
-    Graph,
-    GraphError,
-    common_complete,
-    complement,
-    components,
-    contract,
-    induced,
-    is_clique,
-    is_simplicial,
-    new_graph,
-)
+from .graphs import ContractionStep, ContractionTrace, Graph, GraphError, components
 from .handles import (
     GeneralizedHandle,
     HandleSearchDiverged,

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .engine import Coloring
-from .graphs import Graph, new_graph
+from .graphs import Graph
 
 # Largest declared vertex count: each costs memory even without edges.
 MAX_VERTICES = 100_000
@@ -78,7 +78,7 @@ def parse_dimacs(text: str, *, on_warning: Callable[[str], None] | None = None) 
         warn(f"{duplicates} duplicate edge line(s) ignored")
     if declared_m != len(edges):
         warn(f"'p' line declares {declared_m} edges, file defines {len(edges)}")
-    return new_graph(n, edges)
+    return Graph(n, edges)
 
 
 def write_dimacs(g: Graph, *, comments: list[str] | None = None) -> str:

@@ -145,8 +145,7 @@ def contract(g: WorkingGraph, a: int, b: int) -> ContractionStep:
 
     The smaller id survives with the union of both neighborhoods; only a, b
     and the neighbors of the larger id are touched.  The returned step is in
-    dense ids, the ranks among the vertices live before the merge, exactly as
-    :func:`graphs.contract` numbers the same merge on the dense graph.
+    dense ids, the ranks of a and b among the vertices live before the merge.
     """
     if a == b:
         raise GraphError("cannot contract a vertex with itself")
@@ -174,7 +173,7 @@ class PipelineObserver:
     the run's :class:`WorkingGraph`, read through ``vertices``, ``adj`` and
     ``rank``, and vertex ids of the input graph; the working graph changes in
     place at each contraction, so a hook that needs a graph later must copy
-    it (for example with ``graphs.induced``).
+    it, as the verifier does into bitmask views.
     """
 
     def interesting(self, g: WorkingGraph, domain: frozenset[int],

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .graphs import Graph, GraphError, new_graph
+from .graphs import Graph, GraphError
 from .oracles import MAX_SUBSET_N, BudgetExceeded, is_artemis
 
 
@@ -39,7 +39,7 @@ def chordal(n: int, density: float, seed: int) -> Graph:
         nbrs = sorted(rng.sample(anchor, min(want, len(anchor))))
         edges.extend((u, v) for u in nbrs)
         cliques.append(tuple(nbrs) + (v,))
-    return new_graph(n, edges)
+    return Graph(n, edges)
 
 
 def bipartite(n: int, density: float, seed: int) -> Graph:
@@ -50,7 +50,7 @@ def bipartite(n: int, density: float, seed: int) -> Graph:
     side = [rng.random() < 0.5 for _ in range(n)]
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if side[u] != side[v] and rng.random() < density]
-    return new_graph(n, edges)
+    return Graph(n, edges)
 
 
 def random_graph(n: int, density: float, seed: int) -> Graph:
@@ -60,7 +60,7 @@ def random_graph(n: int, density: float, seed: int) -> Graph:
     rng = random.Random(seed)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < density]
-    return new_graph(n, edges)
+    return Graph(n, edges)
 
 
 def filtered_random(n: int, density: float, seed: int) -> Graph:
@@ -74,7 +74,7 @@ def filtered_random(n: int, density: float, seed: int) -> Graph:
     while True:
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)
                  if rng.random() < density]
-        g = new_graph(n, edges)
+        g = Graph(n, edges)
         ok, _ = is_artemis(g)
         if ok:
             return g

@@ -54,8 +54,7 @@ def _refit(g: MaskGraph, v: int, a: int, b: int) -> tuple[int, int]:
     return g.live & ~cohandle & ~_union(g.masks, cohandle), cohandle
 
 
-def find_generalized_handle(g: Graph, *, max_iterations: int | None = None,
-                            ) -> GeneralizedHandle | None:
+def find_generalized_handle(g: Graph) -> GeneralizedHandle | None:
     """Generalized handle of g, or None when every vertex sees every edge.
 
     Starting from any vertex missing any edge, the co-handle/handle split is
@@ -68,7 +67,7 @@ def find_generalized_handle(g: Graph, *, max_iterations: int | None = None,
     step = _first_missed(g.masks, g.live, g.live)
     if step is None:
         return None
-    cap = max_iterations if max_iterations is not None else max(1, g.live.bit_count() ** 2)
+    cap = max(1, g.live.bit_count() ** 2)
     iterations = 0
     while True:
         handle, cohandle = _refit(g, *step)

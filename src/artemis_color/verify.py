@@ -3,7 +3,8 @@
 Attach an :class:`OracleVerifier` as the pipeline observer and each maximal
 interesting set, outer path, to-be-contracted pair and contracted graph gets
 cross-checked against the brute-force oracles.  Failures are collected, not
-raised, so a whole run can be audited in one pass.
+raised, so a whole run can be audited in one pass: an oracle that rejects a
+malformed structure with :class:`GraphError` fails its check with that message.
 
 The oracles run on :class:`oracles.MaskGraph` views in the input's vertex
 ids, read straight from the working graph, so the verifier builds no
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .engine import (DisjointCliques, InterestingSetResult, OuterPath, PipelineObserver,
                      WorkingGraph)
-from .graphs import Graph
+from .graphs import Graph, GraphError
 from .handles import interesting_gives_handle_check
 from .oracles import (MAX_SUBSET_N, PRISM, MaskGraph, _complete,
                       brute_maximal_interesting_check, brute_minimal_outer_path_check,
@@ -68,6 +69,15 @@ class OracleVerifier(PipelineObserver):
         if not passed:
             self.failures.append(f"{name}: {detail}")
 
+    def _check(self, name: str, detail: str, oracle, *args) -> bool:
+        """Record whether ``oracle(*args)`` holds; a malformed input fails the check."""
+        try:
+            passed = oracle(*args)
+        except GraphError as exc:
+            passed, detail = False, f"{detail}: {exc}"
+        self._record(name, passed, detail)
+        return passed
+
     def _level(self, g: WorkingGraph, domain: frozenset[int]) -> MaskGraph:
         """The view of the level on domain; the replica for the whole graph."""
         if len(domain) < len(g.vertices):
@@ -94,14 +104,14 @@ class OracleVerifier(PipelineObserver):
                          "is not the clique components of the level")
             return
         complete = _complete(level, mask_of(result.tset))
-        self._record("interesting_maximal",
-                     brute_maximal_interesting_check(level, result.tset),
-                     f"set {sorted(result.tset)} is not maximal interesting in its level")
+        self._check("interesting_maximal",
+                    f"set {sorted(result.tset)} is not maximal interesting in its level",
+                    brute_maximal_interesting_check, level, result.tset)
         self._record("interesting_complete", mask_of(result.cset) == complete,
                      f"complete set mismatch for {sorted(result.tset)}")
-        self._record("handle_bridge_from_interesting",
-                     interesting_gives_handle_check(level, result.tset),
-                     f"set {sorted(result.tset)} gives no handle in the complement")
+        self._check("handle_bridge_from_interesting",
+                    f"set {sorted(result.tset)} gives no handle in the complement",
+                    interesting_gives_handle_check, level, result.tset)
 
     def outer_path(self, g: WorkingGraph, domain: frozenset[int], tset: frozenset[int],
                    cset: frozenset[int], path: OuterPath | None) -> None:
@@ -109,23 +119,21 @@ class OracleVerifier(PipelineObserver):
             return
         level = self._level(g, domain)
         if path is None:
-            self._record("outer_none",
-                         not outer_path_exists_criterion(level, tset, cset),
-                         f"a T-outer path exists but none was returned (T={sorted(tset)})")
+            self._check("outer_none",
+                        f"a T-outer path exists but none was returned (T={sorted(tset)})",
+                        lambda: not outer_path_exists_criterion(level, tset, cset))
             return
         self._record("outer_parity", path.length % 2 == 0 and path.length >= 4,
                      f"outer path {path.vertices} has odd or short length {path.length}")
-        self._record("outer_minimal",
-                     brute_minimal_outer_path_check(level, tset, cset, path.vertices),
-                     f"path {path.vertices} is not a minimal T-outer path")
+        self._check("outer_minimal", f"path {path.vertices} is not a minimal T-outer path",
+                    brute_minimal_outer_path_check, level, tset, cset, path.vertices)
 
     def bottom_pair(self, g: WorkingGraph, domain: frozenset[int],
                     result: DisjointCliques, pair: tuple[int, int]) -> None:
         if len(domain) > MAX_SUBSET_N:
             return
-        self._record("bottom_pair_special",
-                     is_special_even_pair_exact(self._level(g, domain), *pair),
-                     f"bottom pair {pair} is not special in its level")
+        self._check("bottom_pair_special", f"bottom pair {pair} is not special in its level",
+                    is_special_even_pair_exact, self._level(g, domain), *pair)
 
     def contracted(self, g: WorkingGraph, a: int, b: int) -> None:
         before = self._replica
@@ -133,15 +141,16 @@ class OracleVerifier(PipelineObserver):
             return
         after = _view_of(g, set(g.vertices))
         self._source, self._replica = g, after
-        even = is_even_pair_exact(before, a, b)
+        even = self._check("pair_even", f"contracted pair ({a}, {b}) is not an even pair",
+                           is_even_pair_exact, before, a, b)
         ok, witness = is_artemis(after, through=min(a, b) if self._in_class else None)
         self._in_class = ok
         # Special means even with a prism-free contraction; the class scan
         # already settles the prism question unless it stopped at an odd hole
         # or an antihole first.
         special = even and (ok or (witness.kind != PRISM and find_prism(after) is None))
-        self._record("pair_even", even, f"contracted pair ({a}, {b}) is not an even pair")
         self._record("pair_special", special, f"contracted pair ({a}, {b}) is not special")
-        self._record("pair_invariance", fonlupt_uhry_check(before, a, b),
-                     f"contracting ({a}, {b}) changed the color or clique number")
+        self._check("pair_invariance",
+                    f"contracting ({a}, {b}) changed the color or clique number",
+                    fonlupt_uhry_check, before, a, b)
         self._record("class_preserved", ok, f"contracting ({a}, {b}) left the class: {witness}")

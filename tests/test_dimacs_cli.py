@@ -3,13 +3,14 @@ import json
 import re
 import sys
 
+import networkx as nx
 import pytest
 
-from artemis_color import Coloring, color_artemis, complement, generate, new_graph, random_graph
+from artemis_color import Coloring, Graph, color_artemis, generate, random_graph
 from artemis_color.cli import _parser, main
 from artemis_color.dimacs import MAX_VERTICES, DimacsError, parse_dimacs, write_coloring, write_dimacs
 
-from conftest import cycle_graph, prism_graph
+from conftest import cycle_graph, from_nx, prism_graph, to_nx
 
 
 # --- parsing -----------------------------------------------------------------
@@ -66,7 +67,7 @@ def test_round_trip():
 
 
 def test_write_dimacs_lists_edges_in_ascending_order():
-    g = new_graph(10, [(0, 9), (0, 2), (2, 9), (1, 8)])
+    g = Graph(10, [(0, 9), (0, 2), (2, 9), (1, 8)])
     assert write_dimacs(g) == "p edge 10 4\ne 1 3\ne 1 10\ne 2 9\ne 3 10\n"
 
 
@@ -182,7 +183,8 @@ def test_cli_detect(chordal_file, capsys):
 
 @pytest.mark.parametrize("graph, expected", [
     (cycle_graph(5), ["odd-hole: 1 2 3 4 5", "antihole: none", "prism: none"]),
-    (complement(cycle_graph(7)), ["odd-hole: none", "antihole: 1 2 3 4 5 6 7", "prism: none"]),
+    (from_nx(nx.complement(to_nx(cycle_graph(7)))),
+     ["odd-hole: none", "antihole: 1 2 3 4 5 6 7", "prism: none"]),
     # The prism's complement is C6, so the prism is also a six-antihole.
     (prism_graph(), ["odd-hole: none", "antihole: 1 5 3 4 2 6", "prism: 1 2 3 4 5 6"]),
     (random_graph(12, 0.6, 0), ["odd-hole: 1 5 12 2 7", "antihole: 1 8 11 10 5 7 12",

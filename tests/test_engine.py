@@ -1,13 +1,16 @@
 import random
 from heapq import heapify, heappop, heappush
 
+import networkx as nx
 import pytest
 
 from artemis_color import (
     Coloring,
     ColoringError,
+    ContractionStep,
     ContractionTrace,
     DisjointCliques,
+    Graph,
     MaximalInteresting,
     OpCounters,
     OracleVerifier,
@@ -19,31 +22,25 @@ from artemis_color import (
     chordal,
     chromatic_number_exact,
     color_artemis,
-    common_complete,
     components,
-    contract,
     filtered_random,
     find_even_pair,
     find_interesting,
     find_outer_path,
     find_special_even_pair,
     greedy_color_cliques,
-    is_clique,
     is_even_pair_exact,
     is_interesting_set,
     is_proper,
     is_special_even_pair_exact,
     lift_coloring,
     max_clique_exact,
-    new_graph,
     outer_path_exists_criterion,
     random_graph,
 )
-from artemis_color.engine import WorkingGraph
-from artemis_color.engine import contract as contract_in_place
-from artemis_color.graphs import induced
+from artemis_color.engine import WorkingGraph, contract
 
-from conftest import complete_graph, cycle_graph, k3_plus_k2, path_graph
+from conftest import complete_graph, cycle_graph, from_nx, k3_plus_k2, path_graph, to_nx
 
 
 def top(g):
@@ -103,11 +100,11 @@ def test_find_interesting_outputs_are_maximal():
     for g in artemis_samples(6, sizes=range(4, 9)):
         res = find_interesting(g, top(g), OpCounters())
         if isinstance(res, DisjointCliques):
-            assert all(is_clique(g, part) for part in res.cliques)
+            assert all(part - {v} <= g.adj[v] for part in res.cliques for v in part)
             continue
         assert is_interesting_set(g, res.tset)
-        assert res.cset == frozenset(common_complete(g, res.tset))
-        assert not is_clique(g, res.cset)
+        assert res.cset == frozenset.intersection(*(g.adj[v] for v in res.tset)) - res.tset
+        assert not all(res.cset - {v} <= g.adj[v] for v in res.cset)
         assert brute_maximal_interesting_check(g, res.tset)
         assert _all_interesting_supersets(g, set(res.tset)) is None
 
@@ -169,8 +166,8 @@ def test_find_interesting_matches_full_pass_reference():
     for _ in range(2000):
         n = rng.randint(2, 40)
         density = rng.uniform(0.05, 0.95)
-        g = new_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                          if rng.random() < density])
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < density])
         keep = rng.random()
         dom = frozenset(v for v in range(n) if rng.random() < keep)
         got, want = OpCounters(), OpCounters()
@@ -195,7 +192,7 @@ def test_find_interesting_matches_full_pass_reference():
      range(7), {2}, {3, 4, 5, 6}, 26),
 ], ids=["cliques-first", "star-center"])
 def test_find_interesting_hand_built_starts(n, edges, dom, tset, cset, charge):
-    g = new_graph(n, edges)
+    g = Graph(n, edges)
     counters = OpCounters()
     res = find_interesting(g, frozenset(dom), counters)
     assert res == MaximalInteresting(frozenset(tset), frozenset(cset))
@@ -252,9 +249,7 @@ def test_find_outer_path_skips_clique_boundary_component():
     # vertex 3 hangs off the complete set through a clique boundary, so its
     # component is searched first, marked, and abandoned; the path comes from
     # the second component
-    from artemis_color import new_graph
-
-    g = new_graph(7, [(0, 1), (1, 2), (2, 3), (2, 4), (4, 5), (5, 6), (6, 0)])
+    g = Graph(7, [(0, 1), (1, 2), (2, 3), (2, 4), (4, 5), (5, 6), (6, 0)])
     res = find_interesting(g, top(g), OpCounters())
     assert res == MaximalInteresting(frozenset({1}), frozenset({0, 2}))
     path = find_outer_path(g, top(g), res.tset, res.cset, OpCounters())
@@ -369,9 +364,7 @@ def test_color_p4():
 
 
 def test_color_empty_graph():
-    from artemis_color import new_graph
-
-    coloring, trace = color_artemis(new_graph(0, []))
+    coloring, trace = color_artemis(Graph(0, []))
     assert coloring == Coloring((), 0) and not trace.steps
 
 
@@ -400,9 +393,8 @@ def test_lift_empty_trace_is_identity():
 
 def test_lift_single_step_copies_color_to_both_endpoints():
     g = path_graph(4)
-    _, step = contract(g, 0, 2)  # merged graph is the star 1 - 0 - 2
     trace = ContractionTrace(original_n=4)
-    trace.append(step)
+    trace.append(ContractionStep(0, 2))  # merged graph is the star 1 - 0 - 2
     residue = Coloring((0, 1, 1), 2)
     lifted = lift_coloring(trace, residue, original_graph=g)
     assert lifted.colors[0] == lifted.colors[2]
@@ -411,9 +403,8 @@ def test_lift_single_step_copies_color_to_both_endpoints():
 
 def test_lift_rejects_improper_input():
     g = path_graph(4)
-    _, step = contract(g, 0, 2)
     trace = ContractionTrace(original_n=4)
-    trace.append(step)
+    trace.append(ContractionStep(0, 2))
     bad = Coloring((0, 0, 1), 2)  # lifts to (0, 0, 0, 1): edge 0-1 clashes
     with pytest.raises(ColoringError):
         lift_coloring(trace, bad, original_graph=g)
@@ -422,7 +413,7 @@ def test_lift_rejects_improper_input():
 def test_lift_names_the_smallest_clashing_edge():
     # Vertex 0 sees 2 and 9, both colored like it; (0, 2) comes first in
     # ascending order, although 9 comes first in the set {2, 9}.
-    g = new_graph(10, [(0, 9), (0, 2), (2, 9), (1, 8)])
+    g = Graph(10, [(0, 9), (0, 2), (2, 9), (1, 8)])
     bad = Coloring((0, 1, 0, 1, 1, 1, 1, 1, 0, 0), 2)
     with pytest.raises(ColoringError) as info:
         lift_coloring(ContractionTrace(original_n=10), bad, original_graph=g)
@@ -452,7 +443,9 @@ def _reference_color(g, observer=None):
         res = find_special_even_pair(current, counters=counters, observer=observer)
         if isinstance(res, DisjointCliques):
             break
-        current, step = contract(current, *res)
+        lo, hi = sorted(res)
+        current = from_nx(nx.contracted_nodes(to_nx(current), lo, hi, self_loops=False))
+        step = ContractionStep(*res)
         if observer is not None:
             observer.contracted(current, *res)
         trace.append(step)
@@ -513,21 +506,22 @@ def test_verifier_names_class_witnesses_by_input_ids():
                                     f"StructureWitness(kind='odd_hole', vertices={hole})")
     # the witness is a chordless cycle of the working graph after that merge
     work = WorkingGraph(g)
-    contract_in_place(work, 0, 2)
+    contract(work, 0, 2)
     for i, v in enumerate(hole):
         assert {w for w in hole if w in work.adj[v]} == {hole[i - 1], hole[(i + 1) % 5]}
 
 
 def test_in_place_contract_matches_dense_replay():
     """Chains of 1-5 merges on a working graph: after each one every neighbor
-    set is symmetric and live, and the graph equals the dense replay."""
+    set is symmetric and live, the graph equals the same merges made by
+    networkx, and the step names the pair by its ranks before the merge."""
     rng = random.Random(1717)
     makers = (chordal, bipartite, random_graph)
     kinds = {True: 0, False: 0}  # merges with and without a common neighbor
     for k in range(90):
         n = rng.randint(2, 30)
         g = makers[k % 3](n, rng.choice((0.1, 0.3, 0.6)), 500 + k)
-        work, dense = WorkingGraph(g), g
+        work, h = WorkingGraph(g), to_nx(g)
         for turn in range(rng.randint(1, 5)):
             live = work.vertices
             pairs = {True: [], False: []}
@@ -543,12 +537,14 @@ def test_in_place_contract_matches_dense_replay():
             kinds[bool(work.adj[a] & work.adj[b])] += 1
             if rng.random() < 0.5:
                 a, b = b, a
-            step = contract_in_place(work, a, b)
-            dense, _ = contract(dense, step.a, step.b)
+            ranks = (live.index(a), live.index(b))
+            step = contract(work, a, b)
+            assert (step.a, step.b) == ranks
+            h = nx.contracted_nodes(h, min(a, b), max(a, b), self_loops=False)
             alive = set(work.vertices)
             for v in work.vertices:
                 nbrs = work.adj[v]
                 assert v not in nbrs and nbrs <= alive
                 assert all(v in work.adj[w] for w in nbrs)
-            assert induced(work, work.vertices)[0] == dense
+            assert {v: set(h.adj[v]) for v in h} == {v: work.adj[v] for v in work.vertices}
     assert kinds[True] > 20 and kinds[False] > 20

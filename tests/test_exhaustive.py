@@ -15,7 +15,7 @@ from functools import cache
 import pytest
 from networkx.generators.atlas import graph_atlas_g
 
-from artemis_color import OracleVerifier, chromatic_number_exact, color_artemis, is_artemis, new_graph
+from artemis_color import Graph, OracleVerifier, chromatic_number_exact, color_artemis, is_artemis
 
 
 @cache
@@ -26,7 +26,7 @@ def _atlas():
 
 def _check_if_artemis(n, edges):
     """Colors and verifies the graph when it is Artemis; says whether it is."""
-    g = new_graph(n, edges)
+    g = Graph(n, edges)
     if not is_artemis(g)[0]:
         return False
     verifier = OracleVerifier()

@@ -1,25 +1,26 @@
 import random
 
+import networkx as nx
 import pytest
 
 from artemis_color import (
     HandleSearchDiverged,
     brute_maximal_interesting_check,
     cohandle_is_max_interesting,
-    complement,
     DisjointCliques,
+    Graph,
     GraphError,
     find_generalized_handle,
     find_interesting,
     interesting_gives_handle_check,
     is_generalized_handle,
     is_interesting_set,
-    new_graph,
     OpCounters,
     random_graph,
 )
+from artemis_color import handles
 
-from conftest import complete_graph, cycle_graph, path_graph
+from conftest import complete_graph, cycle_graph, from_nx, path_graph, to_nx
 
 
 def test_complete_graph_has_no_handle():
@@ -29,10 +30,10 @@ def test_complete_graph_has_no_handle():
 
 def test_complete_multipartite_has_no_handle():
     # every vertex sees at least one endpoint of every edge
-    k22 = new_graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+    k22 = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
     assert find_generalized_handle(k22) is None
-    k222 = new_graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)
-                         if u // 2 != v // 2])
+    k222 = Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)
+                     if u // 2 != v // 2])
     assert find_generalized_handle(k222) is None
 
 
@@ -42,7 +43,7 @@ def test_p4_handle():
     assert found is not None
     assert is_generalized_handle(g, found.handle, found.cohandle)
     assert cohandle_is_max_interesting(g, found)
-    assert brute_maximal_interesting_check(complement(g), found.cohandle)
+    assert brute_maximal_interesting_check(from_nx(nx.complement(to_nx(g))), found.cohandle)
 
 
 def test_is_generalized_handle_rejections():
@@ -54,7 +55,7 @@ def test_is_generalized_handle_rejections():
     assert not is_generalized_handle(p4, {3}, {0})  # H has no edge
     assert not is_generalized_handle(p4, {2, 3}, {1})  # N(J) = {0, 2} differs
     # J = {0, 4} has boundary {1} = N(H) but is two components of G - N(H)
-    fork = new_graph(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
+    fork = Graph(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
     assert not is_generalized_handle(fork, {2, 3}, {0, 4})
     # on the 5-path the boundary vertex 1 sees neither end of the edge 3-4
     assert not is_generalized_handle(path_graph(5), {2, 3, 4}, {0})
@@ -84,7 +85,7 @@ def test_handle_sweep_properties():
         assert is_generalized_handle(g, result.handle, result.cohandle)
         # a co-handle is an interesting set of the complement, and the one the
         # search returns is even maximal there
-        assert is_interesting_set(complement(g), result.cohandle)
+        assert is_interesting_set(from_nx(nx.complement(to_nx(g))), result.cohandle)
         assert cohandle_is_max_interesting(g, result)
     assert found > 100
 
@@ -96,10 +97,12 @@ def test_iteration_cap_never_hit_on_samples():
         find_generalized_handle(g)  # HandleSearchDiverged would fail the test
 
 
-def test_iteration_cap_is_enforced():
-    # on the 5-path the refit loop runs once, which a zero cap forbids
-    with pytest.raises(HandleSearchDiverged):
-        find_generalized_handle(path_graph(5), max_iterations=0)
+def test_iteration_cap_is_enforced(monkeypatch):
+    # A refit loop that never settles stops at the n^2 cap.  On the 5-path the
+    # first step is vertex 0 missing the edge 2-3; here every step repeats it.
+    monkeypatch.setattr(handles, "_first_missed", lambda masks, candidates, within: (0, 2, 3))
+    with pytest.raises(HandleSearchDiverged, match="within 25 iterations"):
+        find_generalized_handle(path_graph(5))
 
 
 def test_interesting_gives_handle_on_zoo():

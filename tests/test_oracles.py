@@ -9,6 +9,7 @@ from artemis_color import (
     ODD_HOLE,
     PRISM,
     BudgetExceeded,
+    Graph,
     GraphError,
     MaskGraph,
     OpCounters,
@@ -18,8 +19,6 @@ from artemis_color import (
     brute_minimal_outer_path_check,
     chordal,
     chromatic_number_exact,
-    complement,
-    contract,
     enumerate_chordless_paths,
     filtered_random,
     find_antihole,
@@ -27,8 +26,6 @@ from artemis_color import (
     find_odd_hole,
     find_prism,
     fonlupt_uhry_check,
-    common_complete,
-    induced,
     interesting_gives_handle_check,
     is_artemis,
     is_even_pair_exact,
@@ -36,13 +33,12 @@ from artemis_color import (
     is_special_even_pair_exact,
     max_clique_exact,
     MaximalInteresting,
-    new_graph,
     outer_path_exists_criterion,
     random_graph,
 )
 
 from artemis_color.oracles import _neighbor_masks, _prism_check, enumerate_outer_paths, mask_of
-from conftest import complete_graph, cycle_graph, k3_plus_k2, path_graph, prism_graph
+from conftest import complete_graph, cycle_graph, from_nx, path_graph, prism_graph, to_nx
 
 
 # --- detectors on the zoo ---------------------------------------------------
@@ -58,12 +54,12 @@ def test_odd_hole_even_cycle():
 
 def test_odd_hole_chorded_c7():
     # The chord splits the 7-cycle into a triangle and a 6-hole: nothing odd.
-    g = new_graph(7, [(i, (i + 1) % 7) for i in range(7)] + [(0, 2)])
+    g = Graph(7, [(i, (i + 1) % 7) for i in range(7)] + [(0, 2)])
     assert find_odd_hole(g) is None
 
 
 def test_antihole_co_c7():
-    witness = find_antihole(complement(cycle_graph(7)))
+    witness = find_antihole(from_nx(nx.complement(to_nx(cycle_graph(7)))))
     assert witness.kind == ANTIHOLE and len(witness.vertices) == 7
 
 
@@ -83,7 +79,7 @@ def test_prism_detects_itself():
 
 
 def test_prism_complement_c6():
-    assert find_prism(complement(cycle_graph(6))) is not None
+    assert find_prism(from_nx(nx.complement(to_nx(cycle_graph(6))))) is not None
 
 
 def test_prism_triangle_free_none():
@@ -93,8 +89,8 @@ def test_prism_triangle_free_none():
 def test_prism_subdivided():
     # One side path of length two: still two triangles joined by three
     # disjoint paths.
-    g = new_graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
-                      (0, 6), (6, 3), (1, 4), (2, 5)])
+    g = Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                  (0, 6), (6, 3), (1, 4), (2, 5)])
     witness = find_prism(g)
     assert witness is not None and len(witness.vertices) == 7
 
@@ -104,8 +100,8 @@ def test_prism_rejects_walk_back_into_its_triangle():
     # degree-3 vertices form the triangles {0, 1, 2} and {4, 5, 6}, but the
     # walk leaving 0 by 0-3 comes back to 1, in its own triangle.  The graph
     # is chordal, hence Artemis.
-    g = new_graph(8, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3),
-                      (4, 5), (5, 6), (4, 6), (4, 7), (5, 7), (2, 6)])
+    g = Graph(8, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3),
+                  (4, 5), (5, 6), (4, 6), (4, 7), (5, 7), (2, 6)])
     assert find_prism(g) is None
     assert is_artemis(g)[0]
 
@@ -113,9 +109,9 @@ def test_prism_rejects_walk_back_into_its_triangle():
 def test_prism_rejects_leftover_cycle():
     # A triangle beside a prism: the whole vertex set has the prism's degree
     # profile, but the walks miss the triangle, so only {3, ..., 8} counts.
-    g = new_graph(9, [(0, 1), (1, 2), (0, 2),
-                      (3, 4), (4, 5), (3, 5), (6, 7), (7, 8), (6, 8),
-                      (3, 6), (4, 7), (5, 8)])
+    g = Graph(9, [(0, 1), (1, 2), (0, 2),
+                  (3, 4), (4, 5), (3, 5), (6, 7), (7, 8), (6, 8),
+                  (3, 6), (4, 7), (5, 8)])
     assert find_prism(g).vertices == (3, 4, 5, 6, 7, 8)
 
 
@@ -136,13 +132,13 @@ def _prism_with_paths(lengths):
         stops = [i] + list(range(n, n + length - 1)) + [3 + i]
         n += length - 1
         edges += list(zip(stops, stops[1:]))
-    return new_graph(n, edges)
+    return Graph(n, edges)
 
 
 def _relabeled(n, edges, rng):
     perm = list(range(n))
     rng.shuffle(perm)
-    return new_graph(n, [(perm[u], perm[v]) for u, v in edges])
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
 
 
 def test_class_scan_through_a_vertex_matches_full_scan():
@@ -158,8 +154,8 @@ def test_class_scan_through_a_vertex_matches_full_scan():
         base = makers[i % 3](n - 1, rng.choice((0.2, 0.4, 0.6)), rng.randrange(10**6))
         extra = [(u, n - 1) for u in range(n - 1) if rng.random() < 0.5]
         graphs.append(_relabeled(n, list(base.edges()) + extra, rng))
-    cores = [cycle_graph(5), cycle_graph(7), complement(cycle_graph(6)),
-             complement(cycle_graph(8)), _prism_with_paths((1, 1, 3)),
+    cores = [cycle_graph(5), cycle_graph(7), from_nx(nx.complement(to_nx(cycle_graph(6)))),
+             from_nx(nx.complement(to_nx(cycle_graph(8)))), _prism_with_paths((1, 1, 3)),
              _prism_with_paths((2, 2, 2))]
     for core in cores:
         for _ in range(8):
@@ -170,7 +166,7 @@ def test_class_scan_through_a_vertex_matches_full_scan():
     for g in graphs:
         full = is_artemis(g)
         for v in g.vertices:
-            if is_artemis(induced(g, set(g.vertices) - {v})[0])[0]:
+            if is_artemis(from_nx(to_nx(g).subgraph(set(g.vertices) - {v})))[0]:
                 assert is_artemis(g, through=v) == full, (sorted(g.edges()), v)
                 if not full[0]:
                     kinds[full[1].kind] += 1
@@ -201,15 +197,8 @@ def test_budget_refusal():
 
 # --- detector completeness against an independent implementation ------------
 
-def _nx_graph(g):
-    h = nx.Graph()
-    h.add_nodes_from(g.vertices)
-    h.add_edges_from(g.edges())
-    return h
-
-
 def _nx_has_odd_hole(g):
-    h = _nx_graph(g)
+    h = to_nx(g)
     for size in (5, 7, 9):
         for sub in combinations(g.vertices, size):
             if nx.is_isomorphic(h.subgraph(sub), nx.cycle_graph(size)):
@@ -218,7 +207,7 @@ def _nx_has_odd_hole(g):
 
 
 def _nx_has_antihole(g):
-    h = _nx_graph(complement(g))
+    h = nx.complement(to_nx(g))
     for size in range(6, g.n + 1):
         for sub in combinations(g.vertices, size):
             if nx.is_isomorphic(h.subgraph(sub), nx.cycle_graph(size)):
@@ -244,7 +233,7 @@ def _prism_templates(size):
 
 
 def _nx_has_prism(g):
-    h = _nx_graph(g)
+    h = to_nx(g)
     for size in range(6, g.n + 1):
         templates = list(_prism_templates(size))
         for sub in combinations(g.vertices, size):
@@ -269,12 +258,12 @@ def test_max_clique_matches_networkx():
     for _ in range(60):
         g = random_graph(rng.randrange(1, 17), rng.choice((0.2, 0.4, 0.6, 0.8)),
                          rng.randrange(10**6))
-        expected = max((len(c) for c in nx.find_cliques(_nx_graph(g))), default=0)
+        expected = max((len(c) for c in nx.find_cliques(to_nx(g))), default=0)
         assert max_clique_exact(g) == expected
 
 
 def _nx_chordless_paths(g, x, y):
-    h = _nx_graph(g)
+    h = to_nx(g)
     return sorted(tuple(p) for p in nx.all_simple_paths(h, x, y)
                   if not any(h.has_edge(p[i], p[j])
                              for i in range(len(p)) for j in range(i + 2, len(p))))
@@ -292,7 +281,7 @@ def test_chordless_paths_match_networkx():
 def test_witnesses_reverify():
     rng = random.Random(21)
     seen = {ODD_HOLE: 0, ANTIHOLE: 0, PRISM: 0}
-    samples = [cycle_graph(5), complement(cycle_graph(7)), prism_graph()]
+    samples = [cycle_graph(5), from_nx(nx.complement(to_nx(cycle_graph(7)))), prism_graph()]
     samples += [random_graph(rng.randrange(6, 10), rng.choice((0.3, 0.5, 0.7)),
                              rng.randrange(10**6)) for _ in range(57)]
     for g in samples:
@@ -310,12 +299,12 @@ def test_witnesses_reverify():
                            for j in range(i + 2, len(verts))
                            if (i, j) != (0, len(verts) - 1))
             elif witness.kind == ANTIHOLE:
-                co = complement(g)
+                co = nx.complement(to_nx(g))
                 assert len(verts) >= 6
                 assert all(verts[(i + 1) % len(verts)] in co.adj[verts[i]]
                            for i in range(len(verts)))
             else:
-                sub = _nx_graph(g).subgraph(verts)
+                sub = to_nx(g).subgraph(verts)
                 assert any(nx.is_isomorphic(sub, t)
                            for t in _prism_templates(len(verts)))
     assert all(count > 0 for count in seen.values())
@@ -358,7 +347,7 @@ def _cycle_order(masks, subset):
 def _walk_witnesses(g, subsets):
     """Per kind, the first witness of a walk over every subset of g in
     lexicographic order, as (kind, vertices), or None."""
-    masks, co_masks = _neighbor_masks(g), _neighbor_masks(complement(g))
+    masks, co_masks = _neighbor_masks(g), _neighbor_masks(from_nx(nx.complement(to_nx(g))))
     checks = {
         ODD_HOLE: (5, lambda s: _cycle_order(masks, s) if len(s) % 2 else None),
         ANTIHOLE: (6, lambda s: _cycle_order(co_masks, s)),
@@ -416,12 +405,13 @@ def test_connected_searches_on_hand_built_graphs():
         assert find_odd_hole(cycle_graph(n)).vertices == tuple(range(n))
     assert find_odd_hole(cycle_graph(6)) is None
     for n in (6, 7):
-        assert find_antihole(complement(cycle_graph(n))).vertices == tuple(range(n))
+        antihole = from_nx(nx.complement(to_nx(cycle_graph(n))))
+        assert find_antihole(antihole).vertices == tuple(range(n))
     # Triangles {0, 1, 2} and {3, 4, 5} joined by paths of lengths 1, 2 and 3.
     triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
-    prism = new_graph(9, triangles + [(0, 3), (1, 6), (6, 4), (2, 7), (7, 8), (8, 5)])
+    prism = Graph(9, triangles + [(0, 3), (1, 6), (6, 4), (2, 7), (7, 8), (8, 5)])
     assert find_prism(prism).vertices == tuple(range(9))
-    two_paths = new_graph(7, triangles + [(0, 3), (1, 6), (6, 4)])
+    two_paths = Graph(7, triangles + [(0, 3), (1, 6), (6, 4)])
     assert find_prism(two_paths) is None
 
 
@@ -429,9 +419,9 @@ def test_connected_searches_on_hand_built_graphs():
 def test_connected_searches_find_structures_above_low_pendants(kind):
     # Vertices 0 and 1 are pendants, so no structure can hold them, and the
     # searches must start at a later smallest vertex.
-    core = {ODD_HOLE: cycle_graph(7), ANTIHOLE: complement(cycle_graph(7)),
+    core = {ODD_HOLE: cycle_graph(7), ANTIHOLE: from_nx(nx.complement(to_nx(cycle_graph(7)))),
             PRISM: prism_graph()}[kind]
-    g = new_graph(core.n + 2, [(u + 2, v + 2) for u, v in core.edges()] + [(0, 2), (1, 4)])
+    g = Graph(core.n + 2, [(u + 2, v + 2) for u, v in core.edges()] + [(0, 2), (1, 4)])
     witness = _detected(g)[kind]
     assert witness == _walk_witnesses(g, _all_subsets_preorder(g.n))[kind]
     assert witness is not None and min(witness[1]) >= 2
@@ -449,9 +439,9 @@ _TWO_PRISMS = [(0, 3), (3, 4), (0, 4), (1, 5), (5, 6), (1, 6), (0, 5), (3, 1), (
 
 
 @pytest.mark.parametrize("kind, graph, expected", [
-    (ODD_HOLE, new_graph(8, _TWO_HOLES), (0, 1, 2, 3, 4)),
-    (ANTIHOLE, complement(new_graph(10, _TWO_LONG_HOLES)), (0, 1, 2, 3, 4, 5)),
-    (PRISM, new_graph(11, _TWO_PRISMS), (0, 1, 3, 4, 5, 6)),
+    (ODD_HOLE, Graph(8, _TWO_HOLES), (0, 1, 2, 3, 4)),
+    (ANTIHOLE, from_nx(nx.complement(to_nx(Graph(10, _TWO_LONG_HOLES)))), (0, 1, 2, 3, 4, 5)),
+    (PRISM, Graph(11, _TWO_PRISMS), (0, 1, 3, 4, 5, 6)),
 ])
 def test_witness_is_first_by_vertex_set_not_first_met(kind, graph, expected):
     assert DETECTORS[kind](graph) == StructureWitness(kind, expected)
@@ -478,7 +468,7 @@ def test_even_pair_c6():
 
 
 def test_even_pair_disconnected_is_vacuous():
-    g = new_graph(4, [(0, 1), (2, 3)])
+    g = Graph(4, [(0, 1), (2, 3)])
     assert is_even_pair_exact(g, 0, 2)
 
 
@@ -510,7 +500,7 @@ def test_special_even_pair_exact():
     pairs = [(u, v) for u in range(8) for v in range(u + 1, 8) if v not in g.adj[u]]
     for u, v in pairs:
         if is_even_pair_exact(g, u, v):
-            merged, _ = contract(g, u, v)
+            merged = from_nx(nx.contracted_nodes(to_nx(g), u, v, self_loops=False))
             if find_prism(merged) is None:
                 assert is_special_even_pair_exact(g, u, v)
     assert not is_special_even_pair_exact(cycle_graph(6), 0, 3)  # not even
@@ -570,10 +560,10 @@ def test_brute_minimal_outer_path():
     # consecutive vertices 5 and 3 are not adjacent
     assert not brute_minimal_outer_path_check(g, {1}, {0, 2}, (0, 5, 3, 2))
     # the chord 3-5
-    chorded = new_graph(6, [(i, (i + 1) % 6) for i in range(6)] + [(3, 5)])
+    chorded = Graph(6, [(i, (i + 1) % 6) for i in range(6)] + [(3, 5)])
     assert not brute_minimal_outer_path_check(chorded, {1}, {0, 2}, (0, 5, 4, 3, 2))
     # a complete vertex 6 sees 4, so the outer path 0-5-4-6 has a smaller interior
-    shortcut = new_graph(7, [(i, (i + 1) % 6) for i in range(6)] + [(1, 6), (4, 6)])
+    shortcut = Graph(7, [(i, (i + 1) % 6) for i in range(6)] + [(1, 6), (4, 6)])
     assert not brute_minimal_outer_path_check(shortcut, {1}, {0, 2, 6}, (0, 5, 4, 3, 2))
     # odd length is rejected outright
     c5 = cycle_graph(5)
@@ -616,7 +606,7 @@ def test_outer_path_oracles_match_networkx():
 def test_fonlupt_uhry():
     assert fonlupt_uhry_check(cycle_graph(6), 0, 2)
     assert fonlupt_uhry_check(path_graph(4), 0, 2)
-    g = new_graph(4, [(0, 1), (2, 3)])
+    g = Graph(4, [(0, 1), (2, 3)])
     assert fonlupt_uhry_check(g, 0, 2)
     # Odd pair: merging 0 and 2 of C5 closes the triangle {0, 3, 4}.
     assert not fonlupt_uhry_check(cycle_graph(5), 0, 2)
@@ -633,7 +623,7 @@ def test_mask_views_agree_with_induced_graphs():
         n = rng.randrange(2, 13)
         g = random_graph(n, rng.choice((0.25, 0.4, 0.55, 0.7)), rng.randrange(10**6))
         domain = frozenset(v for v in range(n) if rng.random() < 0.8) or frozenset({0})
-        sub, old_ids = induced(g, domain)
+        sub, old_ids = from_nx(to_nx(g).subgraph(domain)), tuple(sorted(domain))
         new_id = {old: new for new, old in enumerate(old_ids)}
         view = MaskGraph([mask_of(g.adj[v] & domain) if v in domain else 0 for v in range(n)],
                          mask_of(domain))
@@ -660,9 +650,10 @@ def test_mask_views_agree_with_induced_graphs():
                 old(p) for p in enumerate_chordless_paths(sub, a, b)]
             for check in (is_even_pair_exact, is_special_even_pair_exact, fonlupt_uhry_check):
                 assert check(view, x, y) == check(sub, a, b)
-            # The merge keeps the smaller id, as contract does after renumbering.
+            # The merge keeps the smaller id, as the dense merge does after
+            # renumbering: a < b, and the ids above b shift down by one.
             merged, kept = view.merge(x, y), [v for v in old_ids if v != max(x, y)]
-            dense, _ = contract(sub, a, b)
+            dense = from_nx(nx.contracted_nodes(to_nx(sub), a, b, self_loops=False))
             assert merged.live == mask_of(kept)
             assert [merged.masks[v] for v in kept] == [
                 mask_of(kept[w] for w in dense.adj[i]) for i in range(dense.n)]
@@ -680,7 +671,7 @@ def test_mask_views_agree_with_induced_graphs():
             seen["interesting"] += 1
             assert interesting_gives_handle_check(view, tset) == \
                 interesting_gives_handle_check(sub, t_new)
-            c_new = common_complete(sub, t_new)
+            c_new = set.intersection(*(set(sub.adj[v]) for v in t_new)) - t_new
             cset = set(old(sorted(c_new)))
             assert outer_path_exists_criterion(view, tset, cset) == \
                 outer_path_exists_criterion(sub, t_new, c_new)

@@ -3,14 +3,15 @@ the class, and its messages in the input's vertex ids."""
 
 from collections import Counter
 
-from artemis_color import DisjointCliques, OracleVerifier, color_artemis, new_graph, random_graph
+from artemis_color import (DisjointCliques, Graph, MaximalInteresting, OracleVerifier, OuterPath,
+                           color_artemis, random_graph)
 from artemis_color.engine import WorkingGraph
 
 
 def test_disjoint_cliques_failure_names_input_ids():
     # The level {3, 4, 5, 6} is the two edges 3-4 and 5-6; the claimed
     # partition pairs the vertices the other way.
-    g = new_graph(7, [(3, 4), (5, 6), (0, 1), (0, 3), (0, 4), (0, 5), (0, 6)])
+    g = Graph(7, [(3, 4), (5, 6), (0, 1), (0, 3), (0, 4), (0, 5), (0, 6)])
     verifier = OracleVerifier()
     claimed = DisjointCliques((frozenset({3, 5}), frozenset({4, 6})))
     verifier.interesting(WorkingGraph(g), frozenset({3, 4, 5, 6}), claimed)
@@ -23,7 +24,7 @@ def test_disjoint_cliques_failure_names_input_ids():
 
 def test_verifier_checks_the_empty_graph():
     verifier = OracleVerifier()
-    color_artemis(new_graph(0, []), observer=verifier)
+    color_artemis(Graph(0, []), observer=verifier)
     assert verifier.checks == {"disjoint_cliques": 1} and verifier.ok
 
 
@@ -64,3 +65,30 @@ def test_verifier_checks_and_failures_outside_the_class_are_pinned():
     assert _verify(10, 0.3, 1003).failures == [
         "class_preserved: contracting (0, 9) left the class: "
         "StructureWitness(kind='odd_hole', vertices=(0, 1, 3, 4, 5))"]
+
+
+def test_malformed_structures_fail_their_checks_instead_of_raising():
+    # Each oracle below rejects its input with GraphError; the verifier
+    # records that as a failure of the check and goes on.
+    g = WorkingGraph(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))
+    top = frozenset(g.vertices)
+    verifier = OracleVerifier()
+    verifier.interesting(g, top, MaximalInteresting(frozenset(), frozenset()))
+    verifier.interesting(g, top, MaximalInteresting(frozenset({0}), frozenset({1})))
+    verifier.outer_path(g, frozenset({0, 1, 2}), frozenset({0}), frozenset({1}),
+                        OuterPath((1, 2, 3)))
+    verifier.bottom_pair(g, top, DisjointCliques(()), (0, 1))
+    assert sum(verifier.checks.values()) == 9
+    assert verifier.failures == [
+        "interesting_maximal: set [] is not maximal interesting in its level",
+        "interesting_complete: complete set mismatch for []",
+        "handle_bridge_from_interesting: set [] gives no handle in the complement: "
+        "an interesting set is nonempty",
+        "interesting_maximal: set [0] is not maximal interesting in its level",
+        "handle_bridge_from_interesting: set [0] gives no handle in the complement: "
+        "the complete set of an interesting set cannot be a clique",
+        "outer_parity: outer path (1, 2, 3) has odd or short length 2",
+        "outer_minimal: path (1, 2, 3) is not a minimal T-outer path: "
+        "outer paths need vertices in range",
+        "bottom_pair_special: bottom pair (0, 1) is not special in its level: "
+        "even pairs are defined for non-adjacent vertices"]
