@@ -31,8 +31,7 @@ def parse_dimacs(text: str, *, on_warning: Callable[[str], None] | None = None) 
     warn = on_warning if on_warning is not None else (lambda _msg: None)
     n = None
     declared_m = 0
-    edges: set[tuple[int, int]] = set()
-    duplicates = 0
+    edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -65,20 +64,17 @@ def parse_dimacs(text: str, *, on_warning: Callable[[str], None] | None = None) 
                 raise DimacsError(f"line {lineno}: endpoint out of range 1..{n}")
             if u == v:
                 raise DimacsError(f"line {lineno}: self-loop at vertex {u}")
-            edge = (u - 1, v - 1) if u < v else (v - 1, u - 1)
-            if edge in edges:
-                duplicates += 1
-            else:
-                edges.add(edge)
+            edges.append((u - 1, v - 1))
         else:
             raise DimacsError(f"line {lineno}: unrecognized line type {fields[0]!r}")
     if n is None:
         raise DimacsError("missing 'p edge <n> <m>' line")
-    if duplicates:
-        warn(f"{duplicates} duplicate edge line(s) ignored")
-    if declared_m != len(edges):
-        warn(f"'p' line declares {declared_m} edges, file defines {len(edges)}")
-    return Graph(n, edges)
+    g = Graph(n, edges)
+    if len(edges) > g.m:
+        warn(f"{len(edges) - g.m} duplicate edge line(s) ignored")
+    if declared_m != g.m:
+        warn(f"'p' line declares {declared_m} edges, file defines {g.m}")
+    return g
 
 
 def write_dimacs(g: Graph, *, comments: list[str] | None = None) -> str:

@@ -216,7 +216,7 @@ def _clique_probe(nbr: Neighbors, s: AbstractSet[int], counters: OpCounters) -> 
     return ok
 
 
-def find_interesting(g: Graph, dom: AbstractSet[int],
+def find_interesting(g: Graph | WorkingGraph, dom: AbstractSet[int],
                      counters: OpCounters) -> InterestingSetResult:
     """Maximal interesting set of the subgraph on ``dom``, or the clique
     partition when every vertex is simplicial.
@@ -307,7 +307,7 @@ def find_interesting(g: Graph, dom: AbstractSet[int],
     return MaximalInteresting(frozenset(tset), frozenset(cset))
 
 
-def find_outer_path(g: Graph, dom: AbstractSet[int], tset: AbstractSet[int],
+def find_outer_path(g: Graph | WorkingGraph, dom: AbstractSet[int], tset: AbstractSet[int],
                     cset: AbstractSet[int], counters: OpCounters) -> OuterPath | None:
     """Minimal T-outer path for a maximal interesting set, or None.
 
@@ -415,7 +415,7 @@ def _dig_out_path(nbr: Neighbors, x: int, met: set[int], seen: set[int],
         "outer-path endpoint became unreachable; the input violates the class guarantees")
 
 
-def find_even_pair(g: Graph, dom: AbstractSet[int], tset: AbstractSet[int],
+def find_even_pair(g: Graph | WorkingGraph, dom: AbstractSet[int], tset: AbstractSet[int],
                    cset: AbstractSet[int], path: OuterPath,
                    counters: OpCounters) -> tuple[int, int]:
     """Special even pair extracted from a minimal T-outer path.
@@ -496,7 +496,7 @@ def _sees_all(nbr: Neighbors, side: AbstractSet[int], reached: set[int],
     return found
 
 
-def find_special_even_pair(g: Graph, *, counters: OpCounters | None = None,
+def find_special_even_pair(g: Graph | WorkingGraph, *, counters: OpCounters | None = None,
                            observer: PipelineObserver | None = None,
                            ) -> tuple[int, int] | DisjointCliques:
     """One special even pair of g, or the clique partition when none is needed.

@@ -19,15 +19,15 @@ class GraphError(ValueError):
 class Graph:
     """Simple undirected graph on vertices ``0..n-1``.
 
-    Built from a vertex count and an edge list: duplicate edges are
-    collapsed, and out-of-range endpoints and self-loops are rejected with a
-    diagnostic.  Instances are immutable, which makes shared reads safe; the
-    engine contracts a mutable copy of its own.  The read interface is
-    ``vertices`` (``range(n)``) and ``adj``, the tuple of neighbor frozensets
-    indexed by vertex: ``adj[v]`` is the neighborhood, ``len(adj[v])`` the
-    degree and ``v in adj[u]`` the adjacency test, O(1) membership and
-    O(deg) scans.  A set has no order, so a reader whose scan order could
-    show sorts what it scans; ``edges()`` is the one such reader here.
+    Built from a vertex count and an edge list: out-of-range endpoints and
+    self-loops are rejected with a diagnostic, and duplicate edges, in either
+    direction, collapse here and nowhere else in the package.  Instances are
+    immutable, which makes shared reads safe; the engine contracts a mutable
+    copy of its own.  The read interface is ``vertices`` (``range(n)``) and
+    ``adj``, the tuple of neighbor frozensets indexed by vertex: ``adj[v]``
+    is the neighborhood, ``len(adj[v])`` the degree and ``v in adj[u]`` the
+    O(1) adjacency test.  A set has no order, so a reader whose scan order
+    could show sorts what it scans; ``edges()`` is the one such reader here.
     """
 
     __slots__ = ("n", "m", "adj")
@@ -36,18 +36,14 @@ class Graph:
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
         adj: list[set[int]] = [set() for _ in range(n)]
-        m = 0
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u} is not allowed")
-            if v not in adj[u]:
-                adj[u].add(v)
-                adj[v].add(u)
-                m += 1
-        self.n = n
-        self.m = m
+            adj[u].add(v)
+            adj[v].add(u)
+        self.n, self.m = n, sum(map(len, adj)) // 2
         self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
 
     @property

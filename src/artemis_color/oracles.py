@@ -2,8 +2,12 @@
 
 These are the trusted side of the dual-route checks: exhaustive search and
 branch-and-bound at desk scale, used to validate the fast pipeline instance by
-instance.  Each entry point refuses inputs beyond its budget instead of
-silently running forever.
+instance.  Each exponential entry point refuses inputs beyond its budget
+instead of silently running forever.  The polynomial checks are uncapped:
+``is_interesting_set``, ``outer_path_exists_criterion`` and, in ``handles``,
+``is_generalized_handle``, ``find_generalized_handle`` and
+``cohandle_is_max_interesting``; on a ``Graph`` each builds a mask of up to n
+bits per vertex.  Nothing in the package calls them above 12 vertices.
 
 Holes, antiholes and prisms are connected, so each structure detector is one
 connected search: chordless paths grown from a hole's smallest vertex (in the
@@ -23,9 +27,9 @@ outer-path check looks its path up in the outer-path enumeration.
 
 Every oracle takes a :class:`Graph` or a :class:`MaskGraph`, neighbor bitmasks
 keyed by vertex id plus the mask of the live vertices, and reads only bitmasks;
-one adapter turns a ``Graph`` into a view in its dense ids.  Ids need not be
-dense: contraction merges two masks and moves no id, and only the order of
-the ids shows, so verdicts, witnesses and paths follow any monotone renaming.
+``_view`` alone builds a view from a graph, in the graph's own ids.  Ids need
+not be dense: contraction merges two masks and moves no id, and only the order
+of ids shows, so verdicts, witnesses and paths follow any monotone renaming.
 """
 
 from __future__ import annotations
@@ -34,9 +38,12 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import and_, or_
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Iterator, NamedTuple, Sequence
 
 from .graphs import Graph, GraphError
+
+if TYPE_CHECKING:
+    from .engine import WorkingGraph
 
 ODD_HOLE = "odd_hole"
 ANTIHOLE = "antihole"
@@ -104,18 +111,25 @@ class MaskGraph(NamedTuple):
         return MaskGraph(merged, self.live & ~(1 << hi))
 
 
-def _neighbor_masks(g: Graph) -> list[int]:
-    """Neighborhood of every vertex as a bitmask, indexed by vertex."""
-    return [mask_of(g.adj[v]) for v in g.vertices]
-
-
-def _view(g: Graph | MaskGraph, cap: int | None = None, what: str = "") -> MaskGraph:
-    """g if it is a view, else the view of the graph g in its dense ids;
-    refused with BudgetExceeded past cap vertices, before any mask is built."""
-    size = g.live.bit_count() if isinstance(g, MaskGraph) else g.n
+def _view(g: Graph | WorkingGraph | MaskGraph, cap: int | None = None, what: str = "",
+          on: AbstractSet[int] | None = None) -> MaskGraph:
+    """g if it is a view, else the view on ``on`` (all vertices by default) of
+    the graph g, read through ``vertices`` and ``adj`` in g's own ids; refused
+    with BudgetExceeded past cap vertices, before any mask is built."""
+    view = isinstance(g, MaskGraph)
+    size = g.live.bit_count() if view else len(g.vertices if on is None else on)
     if cap is not None and size > cap:
         raise BudgetExceeded(f"{what}: size {size} exceeds the budget of {cap}")
-    return g if isinstance(g, MaskGraph) else MaskGraph(_neighbor_masks(g), (1 << g.n) - 1)
+    if view:
+        return g
+    if on is None:  # all neighbors are live, and all n ids unless a merge removed some
+        n = len(g.adj)
+        return MaskGraph([mask_of(nbrs) for nbrs in g.adj],
+                         (1 << n) - 1 if len(g.vertices) == n else mask_of(g.vertices))
+    masks = [0] * (max(on, default=-1) + 1)
+    for v in on:
+        masks[v] = mask_of(g.adj[v] & on)
+    return MaskGraph(masks, mask_of(on))
 
 
 def _require_pair(g: MaskGraph, x: int, y: int, what: str) -> None:

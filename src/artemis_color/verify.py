@@ -9,8 +9,9 @@ malformed structure with :class:`GraphError` fails its check with that message.
 The oracles run on :class:`oracles.MaskGraph` views in the input's vertex
 ids, read straight from the working graph, so the verifier builds no
 :class:`Graph` and keeps no id map.  The whole graph's view, the replica, is
-read at the first whole-graph hook of a run within the oracle budget and again
-after each contraction, and kept to check the next contraction against.
+read at the first hook of a run, refused with :class:`oracles.BudgetExceeded`
+past ``MAX_SUBSET_N`` vertices, and again after each contraction, and kept
+to check the next contraction against.
 
 Each contracted replica gets one class scan, :func:`oracles.is_artemis`.  It
 passes ``through``, the merged vertex, only when the replica before the merge
@@ -29,18 +30,10 @@ from .engine import (DisjointCliques, InterestingSetResult, OuterPath, PipelineO
                      WorkingGraph)
 from .graphs import Graph, GraphError
 from .handles import interesting_gives_handle_check
-from .oracles import (MAX_SUBSET_N, PRISM, MaskGraph, _complete,
+from .oracles import (MAX_SUBSET_N, PRISM, MaskGraph, _complete, _view,
                       brute_maximal_interesting_check, brute_minimal_outer_path_check,
                       find_prism, fonlupt_uhry_check, is_artemis, is_even_pair_exact,
                       is_special_even_pair_exact, mask_of, outer_path_exists_criterion)
-
-
-def _view_of(g: WorkingGraph | Graph, domain: frozenset[int] | set[int]) -> MaskGraph:
-    """The subgraph of g on domain as a view in g's vertex ids."""
-    masks = [0] * (max(domain, default=-1) + 1)
-    for v in domain:
-        masks[v] = mask_of(g.adj[v] & domain)
-    return MaskGraph(masks, mask_of(domain))
 
 
 @dataclass
@@ -48,14 +41,14 @@ class OracleVerifier(PipelineObserver):
     """Collects one named check per oracle-verified guarantee.
 
     ``checks`` counts how often each check ran, ``failures`` holds a message
-    per violated guarantee.  Checks silently skip levels larger than the
-    oracle budget.  Messages name vertices by their ids in the input graph.
+    per violated guarantee.  A run on more than ``MAX_SUBSET_N`` vertices is
+    refused with ``BudgetExceeded`` before any check.  Messages name vertices
+    by their ids in the input graph.
     """
 
     checks: Counter = field(default_factory=Counter)
     failures: list[str] = field(default_factory=list)
-    # The graph of the current run, its replica (None while the whole graph
-    # exceeds the budget), and whether the replica passed its last class scan.
+    # The run's graph, its replica, and whether the replica passed its last class scan.
     _source: WorkingGraph | Graph | None = field(default=None, init=False, repr=False)
     _replica: MaskGraph | None = field(default=None, init=False, repr=False)
     _in_class: bool = field(default=False, init=False, repr=False)
@@ -80,18 +73,13 @@ class OracleVerifier(PipelineObserver):
 
     def _level(self, g: WorkingGraph, domain: frozenset[int]) -> MaskGraph:
         """The view of the level on domain; the replica for the whole graph."""
-        if len(domain) < len(g.vertices):
-            return _view_of(g, domain)
-        if self._replica is None:
-            self._replica, self._in_class = _view_of(g, domain), False
-        return self._replica
+        return self._replica if len(domain) == len(g.vertices) else _view(g, on=domain)
 
     def interesting(self, g: WorkingGraph, domain: frozenset[int],
                     result: InterestingSetResult) -> None:
         if g is not self._source:  # first hook of a new run
-            self._source, self._replica = g, None
-        if len(domain) > MAX_SUBSET_N:
-            return
+            self._replica = _view(g, MAX_SUBSET_N, "oracle verifier")
+            self._source, self._in_class = g, False
         level = self._level(g, domain)
         if isinstance(result, DisjointCliques):
             # The parts are the clique components exactly when they partition
@@ -115,8 +103,6 @@ class OracleVerifier(PipelineObserver):
 
     def outer_path(self, g: WorkingGraph, domain: frozenset[int], tset: frozenset[int],
                    cset: frozenset[int], path: OuterPath | None) -> None:
-        if len(domain) > MAX_SUBSET_N:
-            return
         level = self._level(g, domain)
         if path is None:
             self._check("outer_none",
@@ -130,16 +116,11 @@ class OracleVerifier(PipelineObserver):
 
     def bottom_pair(self, g: WorkingGraph, domain: frozenset[int],
                     result: DisjointCliques, pair: tuple[int, int]) -> None:
-        if len(domain) > MAX_SUBSET_N:
-            return
         self._check("bottom_pair_special", f"bottom pair {pair} is not special in its level",
                     is_special_even_pair_exact, self._level(g, domain), *pair)
 
     def contracted(self, g: WorkingGraph, a: int, b: int) -> None:
-        before = self._replica
-        if before is None:  # the graph before the merge exceeded the budget
-            return
-        after = _view_of(g, set(g.vertices))
+        before, after = self._replica, _view(g)
         self._source, self._replica = g, after
         even = self._check("pair_even", f"contracted pair ({a}, {b}) is not an even pair",
                            is_even_pair_exact, before, a, b)

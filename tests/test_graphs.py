@@ -13,7 +13,6 @@ from artemis_color import graphs
 from artemis_color.engine import WorkingGraph, contract
 from artemis_color.oracles import (_complement, _complete, _components, _is_clique, _view,
                                    find_prism, mask_of)
-from artemis_color.verify import _view_of
 
 from conftest import complete_graph, cycle_graph, path_graph, prism_graph, to_nx
 
@@ -125,11 +124,15 @@ def test_complement_involution():
 
 def test_induced():
     # A view of a vertex subset keeps the input's ids; other ids read empty.
-    sub = _view_of(cycle_graph(6), {0, 1, 2})
+    sub = _view(cycle_graph(6), on={0, 1, 2})
     assert sub.live == 0b111 and sub.masks == [0b10, 0b101, 0b10]
-    g = path_graph(5)
-    assert _view_of(g, set(g.vertices)) == _view(g)
-    assert _view_of(g, set()) == ([], 0)
+    assert _view(cycle_graph(6), on={1, 4}) == ([0, 0, 0, 0, 0], 0b10010)
+    assert _view(path_graph(5)) == ([0b10, 0b101, 0b1010, 0b10100, 0b1000], 0b11111)
+    assert _view(path_graph(5), on=set()) == ([], 0)
+    # The working graph's merged-away id reads empty and leaves the live mask.
+    work = WorkingGraph(path_graph(5))
+    contract(work, 1, 3)
+    assert _view(work) == ([0b10, 0b10101, 0b10, 0, 0b10], 0b10111)
 
 
 def test_common_complete():

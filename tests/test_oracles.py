@@ -37,7 +37,7 @@ from artemis_color import (
     random_graph,
 )
 
-from artemis_color.oracles import _neighbor_masks, _prism_check, enumerate_outer_paths, mask_of
+from artemis_color.oracles import _prism_check, _view, enumerate_outer_paths, mask_of
 from conftest import complete_graph, cycle_graph, from_nx, path_graph, prism_graph, to_nx
 
 
@@ -347,7 +347,7 @@ def _cycle_order(masks, subset):
 def _walk_witnesses(g, subsets):
     """Per kind, the first witness of a walk over every subset of g in
     lexicographic order, as (kind, vertices), or None."""
-    masks, co_masks = _neighbor_masks(g), _neighbor_masks(from_nx(nx.complement(to_nx(g))))
+    masks, co_masks = _view(g).masks, _view(from_nx(nx.complement(to_nx(g)))).masks
     checks = {
         ODD_HOLE: (5, lambda s: _cycle_order(masks, s) if len(s) % 2 else None),
         ANTIHOLE: (6, lambda s: _cycle_order(co_masks, s)),

@@ -3,8 +3,10 @@ the class, and its messages in the input's vertex ids."""
 
 from collections import Counter
 
-from artemis_color import (DisjointCliques, Graph, MaximalInteresting, OracleVerifier, OuterPath,
-                           color_artemis, random_graph)
+import pytest
+
+from artemis_color import (BudgetExceeded, DisjointCliques, Graph, MaximalInteresting,
+                           OracleVerifier, OuterPath, chordal, color_artemis, random_graph)
 from artemis_color.engine import WorkingGraph
 
 
@@ -26,6 +28,22 @@ def test_verifier_checks_the_empty_graph():
     verifier = OracleVerifier()
     color_artemis(Graph(0, []), observer=verifier)
     assert verifier.checks == {"disjoint_cliques": 1} and verifier.ok
+
+
+def test_verifier_refuses_runs_past_the_oracle_budget():
+    # Refused at the first hook, before any check; a run at the budget keeps
+    # its checks.
+    verifier = OracleVerifier()
+    with pytest.raises(BudgetExceeded, match="oracle verifier: size 13 exceeds the budget of 12"):
+        color_artemis(chordal(13, 0.4, 1), observer=verifier)
+    assert not verifier.checks and verifier.ok
+    color_artemis(chordal(12, 0.4, 1), observer=verifier)
+    assert verifier.checks == {
+        "interesting_maximal": 14, "interesting_complete": 14,
+        "handle_bridge_from_interesting": 14, "outer_none": 14, "disjoint_cliques": 8,
+        "bottom_pair_special": 7, "pair_even": 7, "pair_special": 7, "pair_invariance": 7,
+        "class_preserved": 7}
+    assert verifier.ok
 
 
 def _verify(n, density, seed):
