@@ -24,7 +24,6 @@ DEFAULT_BENCH_DENSITY = 0.5
 class RunReport:
     """One pipeline run: sizes, result, per-phase operation counts, timing."""
 
-    input_id: str
     n: int
     m: int
     num_colors: int
@@ -41,7 +40,7 @@ class RunReport:
         return self.interesting_ops + self.outer_ops + self.even_pair_ops
 
 
-def run_instance(g: Graph, input_id: str, *,
+def run_instance(g: Graph, *,
                  observer: PipelineObserver | None = None,
                  ) -> tuple[RunReport, Coloring, ContractionTrace]:
     counters = OpCounters()
@@ -49,7 +48,6 @@ def run_instance(g: Graph, input_id: str, *,
     coloring, trace = color_artemis(g, counters=counters, observer=observer)
     wall = time.perf_counter() - start
     report = RunReport(
-        input_id=input_id,
         n=g.n,
         m=g.m,
         num_colors=coloring.num_colors,
@@ -108,7 +106,7 @@ def bench(family: str, sizes: list[int], seed: int) -> BenchResult:
         g = generate(family, n, DEFAULT_BENCH_DENSITY, seed + i)
         if len(sizes) > 1 and g.m == 0:
             raise GraphError(f"cannot fit the scaling: the instance with n={n} has no edges")
-        report, _, _ = run_instance(g, f"{family}-n{n}-s{seed + i}")
+        report, _, _ = run_instance(g)
         result.reports.append(report)
     if len(sizes) > 1:
         xs_total = [r.n * r.n * r.m for r in result.reports]

@@ -1,10 +1,11 @@
 """Batch front door: color, detect, generate and bench subcommands.
 
-Exit codes: 0 success, 1 the input could not be colored as an Artemis graph
-(or verification failed), 2 unreadable or unparsable input, an unwritable
-trace file, or generator and bench arguments that are refused (a density
-outside [0, 1], malformed or refused sizes, an edgeless instance or a constant
-n^2*m or n*m in a fit),
+Each subcommand does its work and lets errors propagate; ``main`` alone turns
+a failure into a message and an exit code: 0 success, 1 the input could not be
+colored as an Artemis graph (or verification failed), 2 unreadable or
+unparsable input, an unwritable trace file or standard output, or generator
+and bench arguments that are refused (a density outside [0, 1], malformed or
+refused sizes, an edgeless instance or a constant n^2*m or n*m in a fit),
 3 oracle-budget refusal.
 """
 
@@ -45,23 +46,18 @@ def residue_cliques(trace: ContractionTrace) -> list[list[int]]:
     return [sorted(part) for part in trace.residue]
 
 
-def _trace_json(trace: ContractionTrace, chain_depths: tuple[int, ...],
-                residue: list[list[int]]) -> str:
+def _trace_json(trace: ContractionTrace, chain_depths: tuple[int, ...]) -> str:
     steps = [
         {"a": step.a, "b": step.b, "merged": step.merged, "chain_depth": depth}
         for step, depth in zip(trace.steps, chain_depths)
     ]
     payload = {"original_n": trace.original_n, "steps": steps,
-               "residue_cliques": residue}
+               "residue_cliques": residue_cliques(trace)}
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _cmd_color(args: argparse.Namespace) -> int:
-    try:
-        g = _read_graph(args.file)
-    except (DimacsError, OSError, GraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    g = _read_graph(args.file)
     verifier = None
     if args.verify:
         if g.n <= MAX_SUBSET_N:
@@ -70,48 +66,26 @@ def _cmd_color(args: argparse.Namespace) -> int:
             print(f"note: n={g.n} exceeds the oracle budget of "
                   f"{MAX_SUBSET_N}; verifying properness and residue "
                   f"consistency only", file=sys.stderr)
-    try:
-        report, coloring, trace = run_instance(g, args.file, observer=verifier)
-    except (NotArtemisError, ColoringError) as exc:
-        print(f"error: input is not colorable as an Artemis graph: {exc}", file=sys.stderr)
-        return EXIT_NOT_ARTEMIS
-    residue = residue_cliques(trace)
-    if args.verify:
-        # Properness was already enforced by the lift.  num_colors is computed
-        # from this same residue, so the comparison is a consistency check
-        # only; certifying optimality is ROADMAP item 1.
-        if coloring.num_colors != max((len(p) for p in residue), default=0):
-            print("error: color count disagrees with the residue cliques", file=sys.stderr)
+    report, coloring, trace = run_instance(g, observer=verifier)
+    if verifier is not None:
+        for failure in verifier.failures:
+            print(f"verify: {failure}", file=sys.stderr)
+        if not verifier.ok:
             return EXIT_NOT_ARTEMIS
-        if verifier is not None:
-            for failure in verifier.failures:
-                print(f"verify: {failure}", file=sys.stderr)
-            if not verifier.ok:
-                return EXIT_NOT_ARTEMIS
-            print(f"verify: {sum(verifier.checks.values())} oracle checks passed",
-                  file=sys.stderr)
+        print(f"verify: {sum(verifier.checks.values())} oracle checks passed",
+              file=sys.stderr)
     if args.trace_json:
         try:
-            Path(args.trace_json).write_text(
-                _trace_json(trace, report.chain_depths, residue))
+            Path(args.trace_json).write_text(_trace_json(trace, report.chain_depths))
         except OSError as exc:
-            print(f"error: cannot write trace: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+            raise OSError(f"cannot write trace: {exc}") from exc
     sys.stdout.write(write_coloring(coloring))
     return EXIT_OK
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    try:
-        g = _read_graph(args.file)
-    except (DimacsError, OSError, GraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        found = [find_odd_hole(g), find_antihole(g), find_prism(g)]
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    g = _read_graph(args.file)
+    found = [find_odd_hole(g), find_antihole(g), find_prism(g)]
     for name, witness in zip(("odd-hole", "antihole", "prism"), found):
         if witness is None:
             print(f"{name}: none")
@@ -122,14 +96,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    try:
-        g = generate(args.family, args.n, args.density, args.seed)
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    g = generate(args.family, args.n, args.density, args.seed)
     comment = (f"family={args.family} n={args.n} density={args.density} "
                f"seed={args.seed}")
     sys.stdout.write(write_dimacs(g, comments=[comment]))
@@ -139,19 +106,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     try:
         sizes = sorted(int(s) for s in args.sizes.split(","))
-    except ValueError:
-        print(f"error: --sizes needs comma-separated integers, got {args.sizes!r}",
-              file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        result = bench(args.family, sizes, args.seed)
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    print(result.table())
+    except ValueError as exc:
+        raise GraphError(f"--sizes needs comma-separated integers, got {args.sizes!r}") from exc
+    print(bench(args.family, sizes, args.seed).table())
     return EXIT_OK
 
 
@@ -198,7 +155,16 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (NotArtemisError, ColoringError) as exc:
+        code, message = EXIT_NOT_ARTEMIS, f"input is not colorable as an Artemis graph: {exc}"
+    except BudgetExceeded as exc:
+        code, message = EXIT_BUDGET, str(exc)
+    except (DimacsError, OSError, GraphError) as exc:
+        code, message = EXIT_PARSE, str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ def test_single_size_has_no_slope():
 def test_run_instance_report_fields():
     g = chordal(10, 0.5, 21)
     verifier = OracleVerifier()
-    report, coloring, trace = run_instance(g, "probe", observer=verifier)
+    report, coloring, trace = run_instance(g, observer=verifier)
     assert report.n == 10 and report.m == g.m
     assert report.num_colors == coloring.num_colors
     assert report.contractions == len(trace.steps) <= 9
@@ -35,7 +35,7 @@ def test_run_instance_report_fields():
 
 def test_residue_cliques_partition_contracted_graph():
     g = chordal(12, 0.4, 3)
-    _, coloring, trace = run_instance(g, "probe")
+    _, coloring, trace = run_instance(g)
     final = g
     for step in trace.steps:  # replay with networkx as the reference
         lo, hi = sorted((step.a, step.b))

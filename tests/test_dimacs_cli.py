@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import re
@@ -7,8 +8,11 @@ import networkx as nx
 import pytest
 
 from artemis_color import Coloring, Graph, color_artemis, generate, random_graph
+from artemis_color import cli
 from artemis_color.cli import _parser, main
 from artemis_color.dimacs import MAX_VERTICES, DimacsError, parse_dimacs, write_coloring, write_dimacs
+from artemis_color.graphs import GraphError
+from artemis_color.oracles import BudgetExceeded
 
 from conftest import cycle_graph, from_nx, prism_graph, to_nx
 
@@ -134,6 +138,52 @@ def test_cli_color_parse_error(tmp_path):
     broken = tmp_path / "broken.col"
     broken.write_text("p edge 2 1\ne 1 9\n")
     assert main(["color", str(broken)]) == 2
+
+
+@pytest.mark.parametrize("command", ["color", "detect"])
+def test_cli_missing_input_file(command, tmp_path, capsys):
+    path = tmp_path / "absent.col"
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def _close_stdout(monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+
+
+def _run_instance_raises(exc):
+    def patch(monkeypatch):
+        def run_instance(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(cli, "run_instance", run_instance)
+    return patch
+
+
+@pytest.mark.parametrize("command, failure, code, message", [
+    ("color", _close_stdout, 2, None),
+    ("detect", _close_stdout, 2, None),
+    ("generate", _close_stdout, 2, None),
+    ("color", _run_instance_raises(GraphError("x")), 2, "error: x\n"),
+    ("color", _run_instance_raises(BudgetExceeded("y")), 3, "error: y\n"),
+], ids=["color-closed-stdout", "detect-closed-stdout", "generate-closed-stdout",
+        "color-graph-error", "color-budget"])
+def test_cli_main_maps_failures_raised_inside_a_command(command, failure, code, message,
+                                                        chordal_file, capsys, monkeypatch):
+    # main alone turns a failure into its message and exit code, wherever in
+    # the command it is raised.
+    argv = ([command, "--family", "chordal", "--n", "5", "--density", "0.5", "--seed", "1"]
+            if command == "generate" else [command, str(chordal_file)])
+    failure(monkeypatch)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") if message is None else err == message
 
 
 @pytest.mark.parametrize("command", ["color", "detect"])
