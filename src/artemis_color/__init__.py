@@ -31,7 +31,6 @@ from .generators import bipartite, chordal, filtered_random, generate, random_gr
 from .graphs import ContractionStep, ContractionTrace, Graph, GraphError, components
 from .handles import (
     GeneralizedHandle,
-    HandleSearchDiverged,
     cohandle_is_max_interesting,
     find_generalized_handle,
     interesting_gives_handle_check,

@@ -55,7 +55,7 @@ def run_instance(g: Graph, *,
         interesting_ops=counters.interesting,
         outer_ops=counters.outer,
         even_pair_ops=counters.even_pair,
-        first_call_ops=counters.per_call[0] if counters.per_call else 0,
+        first_call_ops=counters.per_call[0],  # every run ends with a search
         chain_depths=tuple(counters.chain_depths),
         wall_time=wall,
     )
@@ -70,8 +70,6 @@ def fit_loglog_slope(xs: list[float], ys: list[float]) -> float:
 
 @dataclass
 class BenchResult:
-    family: str
-    seed: int
     reports: list[RunReport] = field(default_factory=list)
     total_slope: float | None = None       # total ops against n^2 * m
     first_call_slope: float | None = None  # first search ops against n * m
@@ -101,7 +99,7 @@ def bench(family: str, sizes: list[int], seed: int) -> BenchResult:
     edgeless instance, or sizes that give every instance the same n^2*m or
     n*m.
     """
-    result = BenchResult(family=family, seed=seed)
+    result = BenchResult()
     for i, n in enumerate(sizes):
         g = generate(family, n, DEFAULT_BENCH_DENSITY, seed + i)
         if len(sizes) > 1 and g.m == 0:

@@ -34,7 +34,7 @@ EXIT_BUDGET = 3
 def _read_graph(path: str) -> Graph:
     raw = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")  # a leading byte-order mark is not text
     except UnicodeDecodeError as exc:
         raise DimacsError(f"input is not UTF-8 text: {exc}") from exc
     return parse_dimacs(text, on_warning=lambda msg: print(f"warning: {msg}", file=sys.stderr))

@@ -25,8 +25,9 @@ def parse_dimacs(text: str, *, on_warning: Callable[[str], None] | None = None) 
 
     Duplicate edges are dropped with a warning; a declared edge count that
     disagrees with the actual one is a warning and the actual count wins.
-    Missing or repeated ``p`` lines, a vertex count above MAX_VERTICES,
-    edges before ``p``, endpoints out of range and self-loops are hard errors.
+    Missing or repeated ``p`` lines, numbers not in ASCII decimal, negative
+    counts, a vertex count above MAX_VERTICES, edges before ``p``, endpoints
+    out of range and self-loops are hard errors.
     """
     warn = on_warning if on_warning is not None else (lambda _msg: None)
     n = None
@@ -37,17 +38,21 @@ def parse_dimacs(text: str, *, on_warning: Callable[[str], None] | None = None) 
         if not line or line.startswith("c"):
             continue
         fields = line.split()
+        # int() would also read '+', '_' between digits and non-ASCII digits
+        plain = line.isascii() and "_" not in line and "+" not in line
         if fields[0] == "p":
             if n is not None:
                 raise DimacsError(f"line {lineno}: second 'p' line")
             if len(fields) != 4 or fields[1] != "edge":
                 raise DimacsError(f"line {lineno}: expected 'p edge <n> <m>'")
             try:
+                if not plain:
+                    raise ValueError(line)
                 n, declared_m = int(fields[2]), int(fields[3])
             except ValueError:
                 raise DimacsError(f"line {lineno}: non-integer sizes in 'p' line")
-            if n < 0:
-                raise DimacsError(f"line {lineno}: negative vertex count")
+            if n < 0 or declared_m < 0:
+                raise DimacsError(f"line {lineno}: negative {'vertex' if n < 0 else 'edge'} count")
             if n > MAX_VERTICES:
                 raise DimacsError(
                     f"line {lineno}: vertex count {n} exceeds the limit of {MAX_VERTICES}")
@@ -57,6 +62,8 @@ def parse_dimacs(text: str, *, on_warning: Callable[[str], None] | None = None) 
             if len(fields) != 3:
                 raise DimacsError(f"line {lineno}: expected 'e <u> <v>'")
             try:
+                if not plain:
+                    raise ValueError(line)
                 u, v = int(fields[1]), int(fields[2])
             except ValueError:
                 raise DimacsError(f"line {lineno}: non-integer endpoints")

@@ -184,9 +184,8 @@ class PipelineObserver:
                    cset: frozenset[int], path: OuterPath | None) -> None:
         pass
 
-    def bottom_pair(self, g: WorkingGraph, domain: frozenset[int],
-                    result: DisjointCliques, pair: tuple[int, int]) -> None:
-        pass
+    def bottom_pair(self, g: WorkingGraph, domain: frozenset[int], pair: tuple[int, int]) -> None:
+        """pair: the smallest vertices of the first two cliques ``interesting`` got."""
 
     def contracted(self, g: WorkingGraph, a: int, b: int) -> None:
         """a and b were merged; ``g`` is the graph after the merge, the one
@@ -319,29 +318,29 @@ def find_outer_path(g: Graph | WorkingGraph, dom: AbstractSet[int], tset: Abstra
     (subset-checked) until some vertex x breaks it; a second search from x
     inside the vertices seen so far, with x's met neighbors removed, runs to
     the first met vertex not adjacent to x.  The search path between them is
-    the answer.  The level's sets are only read.
+    the answer; x reaches one through the first search's tree.  The level's
+    sets are only read.
     """
     nbr = g.adj.__getitem__
     searchable = dom - tset
     unmarked = set(searchable - cset)
     ops = 0
-    try:  # the trivial roots are charged even when a search raises
-        for root in sorted(unmarked):
-            if root not in unmarked:
-                continue  # absorbed by an earlier component's search
-            around = nbr(root)
-            near = around & searchable
-            if len(near) <= 1 and near <= cset:
-                ops += len(around)
-                for c in near:
-                    ops += len(nbr(c))
-                continue
-            found = _component_search(nbr, root, cset, unmarked, counters)
-            if found is not None:
-                return found
-    finally:
-        counters.outer += ops
-    return None
+    found = None
+    for root in sorted(unmarked):
+        if root not in unmarked:
+            continue  # absorbed by an earlier component's search
+        around = nbr(root)
+        near = around & searchable
+        if len(near) <= 1 and near <= cset:
+            ops += len(around)
+            for c in near:
+                ops += len(nbr(c))
+            continue
+        found = _component_search(nbr, root, cset, unmarked, counters)
+        if found is not None:
+            break
+    counters.outer += ops
+    return found
 
 
 def _component_search(nbr: Neighbors, root: int, cset: AbstractSet[int],
@@ -393,7 +392,7 @@ def _dig_out_path(nbr: Neighbors, x: int, met: set[int], seen: set[int],
     parent: dict[int, int | None] = {x: None}
     inner_seen = {x}
     queue = deque([x])
-    while queue:
+    while True:  # a target is always reached; see find_outer_path
         u = queue.popleft()
         nu = nbr(u)
         ops += len(nu)
@@ -410,9 +409,6 @@ def _dig_out_path(nbr: Neighbors, x: int, met: set[int], seen: set[int],
                 return OuterPath(tuple(path))
             if w not in cset:
                 queue.append(w)
-    counters.outer += ops
-    raise NotArtemisError(
-        "outer-path endpoint became unreachable; the input violates the class guarantees")
 
 
 def find_even_pair(g: Graph | WorkingGraph, dom: AbstractSet[int], tset: AbstractSet[int],
@@ -520,14 +516,12 @@ def find_special_even_pair(g: Graph | WorkingGraph, *, counters: OpCounters | No
         res = find_interesting(g, dom, counters)
         observer.interesting(g, dom, res)
         if isinstance(res, DisjointCliques):
-            if depth == 1:
-                result = res
-                break
-            if len(res.cliques) < 2:
-                raise NotArtemisError("a nested level collapsed to a single clique")
-            pair = (min(res.cliques[0]), min(res.cliques[1]))
-            observer.bottom_pair(g, dom, res, pair)
-            result = pair
+            result = res
+            if depth > 1:
+                # A complete set starts with two non-adjacent vertices and only
+                # shrinks to non-cliques, so a nested level has two or more.
+                result = (min(res.cliques[0]), min(res.cliques[1]))
+                observer.bottom_pair(g, dom, result)
             break
         path = find_outer_path(g, dom, res.tset, res.cset, counters)
         observer.outer_path(g, dom, res.tset, res.cset, path)

@@ -19,17 +19,12 @@ from .oracles import (MAX_SUBSET_N, MaskGraph, _complement, _complete, _componen
                       iter_bits)
 
 
-class HandleSearchDiverged(RuntimeError):
-    """The refit loop exceeded its iteration cap; surfaced, never swallowed."""
-
-
 @dataclass(frozen=True)
 class GeneralizedHandle:
-    """A handle H, one of its co-handles J, and their shared boundary N(H)=N(J)."""
+    """A handle H and one of its co-handles J; they share the boundary N(H) = N(J)."""
 
     handle: frozenset[int]
     cohandle: frozenset[int]
-    boundary: frozenset[int]
 
 
 def _first_missed(masks: Sequence[int], candidates: int,
@@ -60,30 +55,23 @@ def find_generalized_handle(g: Graph) -> GeneralizedHandle | None:
     Starting from any vertex missing any edge, the co-handle/handle split is
     refitted while some boundary vertex still misses an edge of the handle.
     Choices follow smallest vertex id, then lexicographically smallest edge.
-    The loop has no termination proof, so it carries an n^2 iteration cap and
-    raises instead of spinning.
+    Each refit grows the co-handle J, so at most n run: the next vertex v
+    lies in the boundary, which is N(J) (the final assertion), and misses an
+    edge ab of the handle; the refit removes only neighbors of a and b, and
+    neither sees J or v, so the new co-handle, v's component, holds J and v.
     """
     g = _view(g)
     step = _first_missed(g.masks, g.live, g.live)
     if step is None:
         return None
-    cap = max(1, g.live.bit_count() ** 2)
-    iterations = 0
-    while True:
+    while step is not None:
         handle, cohandle = _refit(g, *step)
         boundary = _union(g.masks, handle) & ~handle
         step = _first_missed(g.masks, boundary, handle)
-        if step is None:
-            break
-        iterations += 1
-        if iterations > cap:
-            raise HandleSearchDiverged(
-                f"handle refit did not settle within {cap} iterations")
-    # By construction the co-handle's boundary sits inside the removed
-    # neighborhood of the last edge, whose endpoints stay in the handle, so
-    # the two boundaries coincide.
+    # N(J) lies in the removed neighbors of the last edge, which stays in the
+    # handle, so the two boundaries coincide.
     assert boundary == _union(g.masks, cohandle) & ~cohandle
-    return GeneralizedHandle(*(frozenset(iter_bits(s)) for s in (handle, cohandle, boundary)))
+    return GeneralizedHandle(frozenset(iter_bits(handle)), frozenset(iter_bits(cohandle)))
 
 
 def is_generalized_handle(g: Graph | MaskGraph, handle: Iterable[int],

@@ -114,8 +114,7 @@ class OracleVerifier(PipelineObserver):
         self._check("outer_minimal", f"path {path.vertices} is not a minimal T-outer path",
                     brute_minimal_outer_path_check, level, tset, cset, path.vertices)
 
-    def bottom_pair(self, g: WorkingGraph, domain: frozenset[int],
-                    result: DisjointCliques, pair: tuple[int, int]) -> None:
+    def bottom_pair(self, g: WorkingGraph, domain: frozenset[int], pair: tuple[int, int]) -> None:
         self._check("bottom_pair_special", f"bottom pair {pair} is not special in its level",
                     is_special_even_pair_exact, self._level(g, domain), *pair)
 

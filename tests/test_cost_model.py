@@ -115,7 +115,7 @@ class _PairSources(PipelineObserver):
     def outer_path(self, g, domain, tset, cset, path):
         self.outer += path is not None
 
-    def bottom_pair(self, g, domain, result, pair):
+    def bottom_pair(self, g, domain, pair):
         self.bottom += 1
 
 

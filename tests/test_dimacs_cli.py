@@ -49,6 +49,23 @@ def test_parse_self_loop():
         parse_dimacs("p edge 2 1\ne 2 2")
 
 
+@pytest.mark.parametrize("text, message", [
+    # int() alone would read each of these numbers
+    ("p edge 3 1\ne 1_0 2", "line 2: non-integer endpoints"),
+    ("p edge 3 1\ne +1 2", "line 2: non-integer endpoints"),
+    ("p edge 3 1\ne \u0661 2", "line 2: non-integer endpoints"),
+    ("p edge 1_2 0", "line 1: non-integer sizes in 'p' line"),
+    ("p edge 3 +1", "line 1: non-integer sizes in 'p' line"),
+    ("p edge 3 1\ne 1 x", "line 2: non-integer endpoints"),
+    ("p edge -3 0", "line 1: negative vertex count"),
+    ("p edge 3 -1", "line 1: negative edge count"),
+    ("p edge 3 1\ne -1 2", "line 2: endpoint out of range 1..3"),
+])
+def test_parse_takes_only_ascii_decimals(text, message):
+    with pytest.raises(DimacsError, match=f"^{re.escape(message)}$"):
+        parse_dimacs(text)
+
+
 def test_parse_caps_the_declared_vertex_count():
     # A 20-byte header must not be able to ask for a graph of a billion vertices.
     with pytest.raises(DimacsError, match="line 2: vertex count 1000000000 exceeds the limit"):
@@ -120,11 +137,12 @@ def test_cli_color_verify_rejects_c5(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("seed, reason", [
+    (1826, "no vertex of the first endpoint class sees its whole reachable boundary"),
     (8, "no vertex of the second endpoint class sees its whole reachable boundary"),
     (89, "an edge joins the two endpoint classes; input is outside the class"),
 ])
 def test_cli_color_rejects_non_artemis(seed, reason, tmp_path, capsys):
-    # Two of the rare random graphs the engine itself rejects; n = 13 is past
+    # Three of the rare random graphs the engine itself rejects; n = 13 is past
     # the oracle budget, so the rejection comes from the engine alone.
     path = tmp_path / "g.col"
     path.write_text(write_dimacs(random_graph(13, 0.5, seed)))
@@ -209,6 +227,15 @@ def test_cli_rejects_non_utf8_input(command, source, tmp_path, capsys, monkeypat
     captured = capsys.readouterr()
     assert captured.err.startswith("error: input is not UTF-8 text")
     assert captured.out == ""
+
+
+def test_cli_reads_through_a_byte_order_mark(chordal_file, tmp_path, capsys):
+    marked = tmp_path / "bom.col"
+    marked.write_bytes(b"\xef\xbb\xbf" + chordal_file.read_bytes())
+    assert main(["color", str(chordal_file)]) == 0
+    plain = capsys.readouterr()
+    assert main(["color", str(marked)]) == 0
+    assert capsys.readouterr() == plain
 
 
 def test_cli_color_verify_over_budget_note(tmp_path, capsys):

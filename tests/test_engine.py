@@ -12,6 +12,7 @@ from artemis_color import (
     DisjointCliques,
     Graph,
     MaximalInteresting,
+    NotArtemisError,
     OpCounters,
     OracleVerifier,
     OuterPath,
@@ -29,6 +30,7 @@ from artemis_color import (
     find_outer_path,
     find_special_even_pair,
     greedy_color_cliques,
+    is_artemis,
     is_even_pair_exact,
     is_interesting_set,
     is_proper,
@@ -39,6 +41,7 @@ from artemis_color import (
     random_graph,
 )
 from artemis_color.engine import WorkingGraph, contract
+from artemis_color.oracles import _is_clique, _view, mask_of
 
 from conftest import complete_graph, cycle_graph, from_nx, k3_plus_k2, path_graph, to_nx
 
@@ -333,6 +336,44 @@ def test_special_even_pairs_check_out_exactly():
         a, b = res
         assert is_even_pair_exact(g, a, b)
         assert is_special_even_pair_exact(g, a, b)
+
+
+class _LevelInvariants(PipelineObserver):
+    """Asserts at every level what the pair search relies on unchecked: a
+    complete set is never a clique, so a nested level splits into two or more
+    cliques, and an outer path is found exactly when one exists."""
+
+    def __init__(self):
+        self.nested_bottoms = self.paths = self.no_paths = 0
+
+    def interesting(self, g, domain, result):
+        if isinstance(result, MaximalInteresting):
+            assert not _is_clique(_view(g, on=domain).masks, mask_of(result.cset))
+        elif len(domain) < len(g.vertices):  # below the top level
+            assert len(result.cliques) >= 2
+            self.nested_bottoms += 1
+
+    def outer_path(self, g, domain, tset, cset, path):
+        exists = outer_path_exists_criterion(_view(g, on=domain), tset, cset)
+        assert (path is not None) == exists
+        self.paths += exists
+        self.no_paths += not exists
+
+
+def test_level_invariants_hold_on_any_graph():
+    rng = random.Random(53)
+    seen = _LevelInvariants()
+    outside = 0
+    for _ in range(300):
+        g = random_graph(rng.randrange(5, 13), rng.choice((0.2, 0.35, 0.5, 0.65, 0.8)),
+                         rng.randrange(10**6))
+        outside += not is_artemis(g)[0]
+        try:
+            color_artemis(g, observer=seen)
+        except (NotArtemisError, ColoringError):
+            pass  # the levels searched before the refusal were still checked
+    assert outside > 50 and seen.nested_bottoms > 100
+    assert seen.paths > 100 and seen.no_paths > 100
 
 
 def test_chain_depth_recorded():

@@ -95,7 +95,7 @@ def test_malformed_structures_fail_their_checks_instead_of_raising():
     verifier.interesting(g, top, MaximalInteresting(frozenset({0}), frozenset({1})))
     verifier.outer_path(g, frozenset({0, 1, 2}), frozenset({0}), frozenset({1}),
                         OuterPath((1, 2, 3)))
-    verifier.bottom_pair(g, top, DisjointCliques(()), (0, 1))
+    verifier.bottom_pair(g, top, (0, 1))
     assert sum(verifier.checks.values()) == 9
     assert verifier.failures == [
         "interesting_maximal: set [] is not maximal interesting in its level",
