@@ -70,9 +70,9 @@ def fit_loglog_slope(xs: list[float], ys: list[float]) -> float:
 
 @dataclass
 class BenchResult:
-    reports: list[RunReport] = field(default_factory=list)
-    total_slope: float | None = None       # total ops against n^2 * m
-    first_call_slope: float | None = None  # first search ops against n * m
+    reports: list[RunReport] = field(default_factory=list, init=False)
+    total_slope: float | None = field(default=None, init=False)       # total ops vs n^2*m
+    first_call_slope: float | None = field(default=None, init=False)  # first search vs n*m
 
     def table(self) -> str:
         header = (f"{'n':>6} {'m':>8} {'colors':>6} {'contr':>6} "

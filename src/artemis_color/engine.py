@@ -104,11 +104,12 @@ class OpCounters:
     special-even-pair search.
     """
 
-    interesting: int = 0
-    outer: int = 0
-    even_pair: int = 0
-    per_call: list[int] = field(default_factory=list)
-    chain_depths: list[int] = field(default_factory=list)
+    # Factories, not defaults: __init__ sets all five, so vars() lists them in order.
+    interesting: int = field(default_factory=int, init=False)
+    outer: int = field(default_factory=int, init=False)
+    even_pair: int = field(default_factory=int, init=False)
+    per_call: list[int] = field(default_factory=list, init=False)
+    chain_depths: list[int] = field(default_factory=list, init=False)
 
     def total(self) -> int:
         return self.interesting + self.outer + self.even_pair

@@ -5,12 +5,15 @@ no holes at all, and every antihole of length six or more and every prism
 contains a four-hole; bipartite graphs have no odd cycles and no triangles,
 which rules out the long antiholes and prisms too).  The filtered-random
 family rejection-samples arbitrary graphs through the exact detectors.
+``generate`` alone checks a request, n up to the DIMACS reader's limit
+included; a sampler checks only its own rules, and takes n = 0.
 """
 
 from __future__ import annotations
 
 import random
 
+from .dimacs import MAX_VERTICES
 from .graphs import Graph, GraphError
 from .oracles import MAX_SUBSET_N, BudgetExceeded, is_artemis
 
@@ -27,8 +30,6 @@ def chordal(n: int, density: float, seed: int) -> Graph:
     its neighborhood is a clique at insertion time and the insertion order
     reversed is a perfect elimination ordering.
     """
-    if n < 1:
-        raise GraphError("chordal generator needs n >= 1")
     rng = random.Random(seed)
     base = max(1, min(n, round(density * n)))
     edges = [(u, v) for u in range(base) for v in range(u + 1, base)]
@@ -44,8 +45,6 @@ def chordal(n: int, density: float, seed: int) -> Graph:
 
 def bipartite(n: int, density: float, seed: int) -> Graph:
     """Random bipartition with each cross edge present independently."""
-    if n < 1:
-        raise GraphError("bipartite generator needs n >= 1")
     rng = random.Random(seed)
     side = [rng.random() < 0.5 for _ in range(n)]
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
@@ -55,8 +54,6 @@ def bipartite(n: int, density: float, seed: int) -> Graph:
 
 def random_graph(n: int, density: float, seed: int) -> Graph:
     """Plain Erdos-Renyi style graph; not Artemis in general."""
-    if n < 1:
-        raise GraphError("random generator needs n >= 1")
     rng = random.Random(seed)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < density]
@@ -65,8 +62,6 @@ def random_graph(n: int, density: float, seed: int) -> Graph:
 
 def filtered_random(n: int, density: float, seed: int) -> Graph:
     """Random graph rejection-sampled through the exact class detectors."""
-    if n < 1:
-        raise GraphError("filtered-random generator needs n >= 1")
     if n > MAX_SUBSET_N:
         raise BudgetExceeded(
             f"filtered-random needs the detectors, capped at {MAX_SUBSET_N} vertices")
@@ -88,11 +83,15 @@ FAMILIES = {
 
 
 def generate(family: str, n: int, density: float, seed: int) -> Graph:
-    """Dispatch by family name; deterministic for a fixed seed."""
+    """Check the request and dispatch by family name; deterministic for a fixed seed."""
     try:
         maker = FAMILIES[family]
     except KeyError:
         raise GraphError(f"unknown family {family!r}; pick one of {sorted(FAMILIES)}")
     if not 0 <= density <= 1:
         raise GraphError(f"density must lie in [0, 1], got {density}")
+    if n < 1:
+        raise GraphError(f"{family} generator needs n >= 1")
+    if n > MAX_VERTICES:
+        raise GraphError(f"{family} generator needs n <= {MAX_VERTICES}")
     return maker(n, density, seed)

@@ -90,13 +90,13 @@ class ContractionStep:
 class ContractionTrace:
     """Ordered log of contractions; replaying it backwards lifts a coloring.
 
-    ``residue`` is the clique partition of the fully contracted graph in its
-    dense ids, set by the driver that ran the contractions.
+    ``append`` alone adds steps, each range-checked.  ``residue`` is the clique
+    partition of the fully contracted graph in its dense ids, set by ``color_artemis``.
     """
 
     original_n: int
-    steps: list[ContractionStep] = field(default_factory=list)
-    residue: tuple[frozenset[int], ...] = ()
+    steps: list[ContractionStep] = field(default_factory=list, init=False)
+    residue: tuple[frozenset[int], ...] = field(default=(), init=False)
 
     def append(self, step: ContractionStep) -> None:
         # Two distinct ids in range need current_n >= 2, so this check alone

@@ -368,8 +368,7 @@ def is_artemis(g: Graph | MaskGraph, *,
     in full only when it finds one, so the result is that of ``is_artemis(g)``."""
     g = _view(g, MAX_SUBSET_N, "class scan")
     if through is not None:
-        if through < 0 or not g.live >> through & 1:
-            raise GraphError("the class scan needs its through vertex in range")
+        _members(g, (through,), "class scans")
         if _first_structure(g, _starts(g.live, through)) is None:
             return True, None
     witness = _first_structure(g, _starts(g.live))

@@ -46,8 +46,8 @@ class OracleVerifier(PipelineObserver):
     by their ids in the input graph.
     """
 
-    checks: Counter = field(default_factory=Counter)
-    failures: list[str] = field(default_factory=list)
+    checks: Counter = field(default_factory=Counter, init=False)
+    failures: list[str] = field(default_factory=list, init=False)
     # The run's graph, its replica, and whether the replica passed its last class scan.
     _source: WorkingGraph | Graph | None = field(default=None, init=False, repr=False)
     _replica: MaskGraph | None = field(default=None, init=False, repr=False)

@@ -73,8 +73,8 @@ def test_cost_model_is_pinned(case):
     maker, args = case["graph"]
     counters = OpCounters()
     _, trace = color_artemis(maker(*args), counters=counters)
-    assert counters == OpCounters(case["interesting"], case["outer"], case["even_pair"],
-                                  case["per_call"], case["chain_depths"])
+    assert vars(counters) == {key: case[key] for key in
+                              ("interesting", "outer", "even_pair", "per_call", "chain_depths")}
     assert [(step.a, step.b) for step in trace.steps] == case["steps"]
 
 
@@ -94,7 +94,7 @@ def test_sparse_cost_model_is_pinned():
     g = bipartite(200, 0.01, 5)
     counters = OpCounters()
     _, trace = color_artemis(g, counters=counters)
-    assert counters == OpCounters(
+    assert vars(counters) == dict(
         interesting=25070, outer=5371, even_pair=0,
         per_call=[723, 717, 711, 706, 703, 704, 691, 687, 688, 673, 671, 668, 668, 664,
                   665, 670, 637, 640, 637, 626, 617, 612, 606, 600, 596, 595, 589, 583,
@@ -140,7 +140,7 @@ def test_rejected_run_cost_model_is_pinned():
     counters = OpCounters()
     with pytest.raises(NotArtemisError, match="no vertex of the second endpoint class"):
         color_artemis(random_graph(30, 0.2, 4), counters=counters)
-    assert counters == OpCounters(
+    assert vars(counters) == dict(
         interesting=1716, outer=891, even_pair=2054,
         per_call=[724, 692, 665, 340, 606, 577, 581],
         chain_depths=[1, 1, 1, 2, 1, 1, 1])

@@ -66,6 +66,19 @@ def test_parse_takes_only_ascii_decimals(text, message):
         parse_dimacs(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("p edge 2 0\np edge 2 0", "line 2: second 'p' line"),
+    ("p edge 2", "line 1: expected 'p edge <n> <m>'"),
+    ("p col 2 0", "line 1: expected 'p edge <n> <m>'"),
+    ("p edge 2 1\ne 1", "line 2: expected 'e <u> <v>'"),
+    ("p edge 2 1\ne 1 2 2", "line 2: expected 'e <u> <v>'"),
+    ("p edge 2 0\nx 1 2", "line 2: unrecognized line type 'x'"),
+], ids=["second-p", "short-p", "not-edge-p", "short-e", "long-e", "unknown-type"])
+def test_parse_refuses_malformed_lines(text, message):
+    with pytest.raises(DimacsError, match=f"^{re.escape(message)}$"):
+        parse_dimacs(text)
+
+
 def test_parse_caps_the_declared_vertex_count():
     # A 20-byte header must not be able to ask for a graph of a billion vertices.
     with pytest.raises(DimacsError, match="line 2: vertex count 1000000000 exceeds the limit"):
@@ -305,6 +318,17 @@ def test_cli_generate_rejects_empty_filtered_random(capsys):
     assert captured.err == "error: filtered-random generator needs n >= 1\n"
 
 
+def test_cli_generate_refuses_more_vertices_than_the_reader_takes(capsys):
+    # What generate writes, color reads back: both stop at MAX_VERTICES.
+    args = ["generate", "--family", "chordal", "--density", "0", "--seed", "1", "--n"]
+    assert main(args + [str(MAX_VERTICES + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: chordal generator needs n <= 100000\n"
+    assert main(args + [str(MAX_VERTICES)]) == 0
+    assert parse_dimacs(capsys.readouterr().out).n == MAX_VERTICES
+
+
 @pytest.mark.parametrize("density", ["-1", "1.5", "nan"])
 def test_cli_generate_rejects_density_outside_unit_interval(density, capsys):
     assert main(["generate", "--family", "chordal", "--n", "3", "--density", density,
@@ -388,11 +412,12 @@ def test_cli_bench_single_size(capsys):
     ("chordal", "50,x", 2, "error: --sizes needs comma-separated integers, got '50,x'"),
     ("chordal", ",", 2, "error: --sizes needs comma-separated integers, got ','"),
     ("chordal", "0", 2, "error: chordal generator needs n >= 1"),
+    ("filtered-random", "5,100001", 2, "error: filtered-random generator needs n <= 100000"),
     ("filtered-random", "13", 3,
      "error: filtered-random needs the detectors, capped at 12 vertices"),
     ("chordal", "1,2", 2, "error: cannot fit the scaling: the instance with n=1 has no edges"),
     ("chordal", "2,2", 2, "error: cannot fit the scaling: every instance has n^2*m = 4"),
-], ids=["malformed", "empty", "refused-size", "budget", "edgeless-fit", "constant-fit"])
+], ids=["malformed", "empty", "refused-size", "over-the-limit", "budget", "edgeless-fit", "constant-fit"])
 def test_cli_bench_rejects(family, sizes, code, message, capsys):
     assert main(["bench", "--family", family, "--sizes", sizes, "--seed", "1"]) == code
     captured = capsys.readouterr()

@@ -1,4 +1,5 @@
 import random
+import re
 from heapq import heapify, heappop, heappush
 
 import networkx as nx
@@ -11,6 +12,7 @@ from artemis_color import (
     ContractionTrace,
     DisjointCliques,
     Graph,
+    GraphError,
     MaximalInteresting,
     NotArtemisError,
     OpCounters,
@@ -464,6 +466,42 @@ def test_lift_names_the_smallest_clashing_edge():
 def test_coloring_type_rejects_unused_colors():
     with pytest.raises(ColoringError):
         Coloring((0, 2), 3)
+
+
+# x-v-w-y with the complete vertex 4 seeing v and w but neither end: it lands
+# in both endpoint classes.
+_SHARED_CLASS = Graph(5, [(0, 1), (1, 2), (2, 3), (1, 4), (2, 4)])
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: OuterPath((0, 1)), GraphError, "an outer path needs at least one interior vertex"),
+    (lambda: Coloring((), 1), ColoringError, "an empty graph takes zero colors"),
+    (lambda: WorkingGraph(path_graph(3)).rank(3), GraphError,
+     "vertex 3 is not in the working graph"),
+    (lambda: contract(WorkingGraph(path_graph(3)), 1, 1), GraphError,
+     "cannot contract a vertex with itself"),
+    (lambda: find_even_pair(path_graph(3), frozenset(range(3)), frozenset(), frozenset(),
+                            OuterPath((0, 1, 2)), OpCounters()),
+     NotArtemisError, "an outer-path endpoint class came out empty"),
+    (lambda: find_even_pair(_SHARED_CLASS, top(_SHARED_CLASS), frozenset(), frozenset({4}),
+                            OuterPath((0, 1, 2, 3)), OpCounters()),
+     NotArtemisError, "the two endpoint classes overlap; input is outside the class"),
+    (lambda: greedy_color_cliques([{0, 1}, {1, 2}]), GraphError,
+     "vertex 1 appears in two cliques"),
+    (lambda: greedy_color_cliques([{0}, {2}]), GraphError,
+     "cliques must partition a dense vertex range"),
+    (lambda: lift_coloring(ContractionTrace(3), Coloring((0, 0), 1),
+                           original_graph=Graph(3, [])),
+     ColoringError, "coloring covers 2 vertices, trace ends at 3"),
+    (lambda: lift_coloring(ContractionTrace(3), Coloring((0, 0, 0), 1),
+                           original_graph=Graph(4, [])),
+     ColoringError, "lifted coloring covers 3 vertices, graph has 4"),
+], ids=["short-outer-path", "empty-coloring", "rank-missing", "contract-self",
+        "empty-class", "overlapping-classes", "clique-overlap", "clique-gap",
+        "lift-length", "lift-graph-size"])
+def test_engine_refusals_name_their_cause(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_lift_from_driver_is_proper():

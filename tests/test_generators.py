@@ -3,12 +3,14 @@ import pytest
 
 from artemis_color import (
     BudgetExceeded,
+    Graph,
     GraphError,
     bipartite,
     chordal,
     filtered_random,
     generate,
     is_artemis,
+    random_graph,
 )
 from artemis_color.dimacs import write_dimacs
 
@@ -59,3 +61,19 @@ def test_determinism_byte_identical():
 def test_unknown_family_rejected():
     with pytest.raises(GraphError):
         generate("mystery", 5, 0.5, 0)
+
+
+@pytest.mark.parametrize("maker, family", [
+    (chordal, "chordal"), (bipartite, "bipartite"), (filtered_random, "filtered-random"),
+    (random_graph, None),
+])
+def test_generate_alone_checks_the_size(maker, family):
+    # A sampler takes n = 0 and leaves a negative n to Graph; generate, the
+    # one gate for a request, refuses both.
+    assert maker(0, 0.5, 1) == Graph(0, [])
+    with pytest.raises(GraphError, match="^vertex count must be non-negative"):
+        maker(-1, 0.5, 1)
+    if family is not None:
+        for n in (0, -1):
+            with pytest.raises(GraphError, match=f"^{family} generator needs n >= 1$"):
+                generate(family, n, 0.5, 1)

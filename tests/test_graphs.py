@@ -4,11 +4,14 @@ complete sets, cliques and induced views in the oracles' bitmasks."""
 
 import ast
 import inspect
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from artemis_color import ContractionStep, ContractionTrace, Graph, GraphError, components
+from artemis_color import (BenchResult, ContractionStep, ContractionTrace, Graph, GraphError,
+                           OpCounters, OracleVerifier, components)
 from artemis_color import graphs
 from artemis_color.engine import WorkingGraph, contract
 from artemis_color.oracles import (_complement, _complete, _components, _is_clique, _view,
@@ -228,6 +231,34 @@ def test_trace_rejects_overlong_and_mismatched_steps():
     with pytest.raises(GraphError):
         # a trace never holds more than n-1 contractions
         short.append(ContractionStep(a=0, b=1))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Graph(-1, []), "vertex count must be non-negative, got -1"),
+    (lambda: Graph(2, [(0, 2)]), "edge (0, 2) out of range for n=2"),
+    (lambda: Graph(2, [(1, 1)]), "self-loop at vertex 1 is not allowed"),
+], ids=["negative-n", "edge-out-of-range", "self-loop"])
+def test_graph_refusals_name_their_cause(make, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+@pytest.mark.parametrize("record, arguments", [
+    (ContractionTrace, ["original_n"]),
+    (OpCounters, []),
+    (OracleVerifier, []),
+    (BenchResult, []),
+])
+def test_records_take_only_what_their_caller_knows(record, arguments):
+    # Every other field is filled by the code that owns the record.
+    assert [f.name for f in fields(record) if f.init] == arguments
+
+
+def test_trace_steps_enter_only_through_append():
+    # A constructor route would skip append's range check, and lift_coloring
+    # would then fail with a bare IndexError.
+    with pytest.raises(TypeError, match="steps"):
+        ContractionTrace(2, steps=[ContractionStep(5, 9)])
 
 
 def _graphs_names_used(module: Path) -> set[str]:

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import networkx as nx
@@ -482,6 +483,16 @@ def test_even_pair_rejects_adjacent():
 def test_even_pair_rejects_pairs_out_of_range(check, x, y):
     with pytest.raises(GraphError, match="two distinct vertices in range"):
         check(path_graph(5), x, y)
+
+
+@pytest.mark.parametrize("a, b, message", [
+    (0, 1, "vertices 0 and 1 are adjacent; contraction of an edge is undefined"),
+    (2, 2, "contractions need two distinct vertices in range"),
+    (0, 4, "contractions need two distinct vertices in range"),
+], ids=["adjacent", "same", "out-of-range"])
+def test_view_merge_refuses_what_cannot_contract(a, b, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        _view(path_graph(4)).merge(a, b)
 
 
 def test_even_pair_is_symmetric():
