@@ -16,7 +16,7 @@ from artemis_color import (ColoringError, NotArtemisError, OpCounters, bipartite
 from artemis_color.cli import main
 from artemis_color.dimacs import parse_dimacs, write_dimacs
 
-GOLDEN = "ff67813588794e174a567341238614d43ef5470aff0771982b5fda7eca096169"
+GOLDEN = "1602e57bfbd7a37d76bcd89d439428eb7043eb97a3334ad43eabc833b1197eac"
 
 SIZES = (1, 2, 5, 8, 10, 12, 13, 16, 20, 40, 90)
 
@@ -61,7 +61,8 @@ def _counters(text):
         color_artemis(parse_dimacs(text), counters=counters)
     except (NotArtemisError, ColoringError) as exc:  # the refusal is part of what is pinned
         return f"{type(exc).__name__}: {exc}"
-    return repr(vars(counters))
+    return repr((counters.interesting, counters.outer, counters.even_pair,
+                 counters.per_call, counters.chain_depths))
 
 
 def test_outputs_match_the_golden_digest(tmp_path):
