@@ -7,11 +7,17 @@ which rules out the long antiholes and prisms too).  The filtered-random
 family rejection-samples arbitrary graphs through the exact detectors.
 ``generate`` alone checks a request, n up to the DIMACS reader's limit
 included; a sampler checks only its own rules, and takes n = 0.
+
+The edge samplers draw one random number per candidate pair, in ascending
+(u, v) order, so a seed fixes the graph.  ``bipartite``'s candidates are its
+cross pairs; ``random_graph``'s and ``filtered_random``'s are all pairs.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from typing import Iterable, Iterator, Sequence
 
 from .dimacs import MAX_VERTICES
 from .graphs import Graph, GraphError
@@ -20,6 +26,21 @@ from .oracles import MAX_SUBSET_N, BudgetExceeded, is_artemis
 
 def _binomial(rng: random.Random, trials: int, p: float) -> int:
     return sum(1 for _ in range(trials) if rng.random() < p)
+
+
+def _draw_edges(rng: random.Random, density: float,
+                rows: Iterable[tuple[int, Sequence[int]]]) -> list[tuple[int, int]]:
+    """Keep each candidate pair with probability density, one draw per pair.
+
+    ``rows`` yields (u, partners) with u ascending and the partners of u
+    ascending and above u, so the draws come in ascending (u, v) order.
+    """
+    draw = rng.random
+    return [(u, v) for u, partners in rows for v in partners if draw() < density]
+
+
+def _all_pairs(n: int) -> Iterator[tuple[int, range]]:
+    return ((u, range(u + 1, n)) for u in range(n))
 
 
 def chordal(n: int, density: float, seed: int) -> Graph:
@@ -44,20 +65,22 @@ def chordal(n: int, density: float, seed: int) -> Graph:
 
 
 def bipartite(n: int, density: float, seed: int) -> Graph:
-    """Random bipartition with each cross edge present independently."""
+    """Random bipartition with each cross edge present independently.
+
+    After one draw per vertex for its side, one draw per cross pair in
+    ascending (u, v) order; same-side pairs take no draw.
+    """
     rng = random.Random(seed)
     side = [rng.random() < 0.5 for _ in range(n)]
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if side[u] != side[v] and rng.random() < density]
-    return Graph(n, edges)
+    members = ([v for v in range(n) if not side[v]], [v for v in range(n) if side[v]])
+    rows = ((u, other[bisect_right(other, u):])
+            for u, other in enumerate(members[not s] for s in side))
+    return Graph(n, _draw_edges(rng, density, rows))
 
 
 def random_graph(n: int, density: float, seed: int) -> Graph:
-    """Plain Erdos-Renyi style graph; not Artemis in general."""
-    rng = random.Random(seed)
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if rng.random() < density]
-    return Graph(n, edges)
+    """Plain Erdos-Renyi style graph, one draw per pair; not Artemis in general."""
+    return Graph(n, _draw_edges(random.Random(seed), density, _all_pairs(n)))
 
 
 def filtered_random(n: int, density: float, seed: int) -> Graph:
@@ -67,9 +90,7 @@ def filtered_random(n: int, density: float, seed: int) -> Graph:
             f"filtered-random needs the detectors, capped at {MAX_SUBSET_N} vertices")
     rng = random.Random(seed)
     while True:
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-                 if rng.random() < density]
-        g = Graph(n, edges)
+        g = Graph(n, _draw_edges(rng, density, _all_pairs(n)))
         ok, _ = is_artemis(g)
         if ok:
             return g

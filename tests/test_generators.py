@@ -1,3 +1,5 @@
+import random
+
 import networkx as nx
 import pytest
 
@@ -77,3 +79,57 @@ def test_generate_alone_checks_the_size(maker, family):
         for n in (0, -1):
             with pytest.raises(GraphError, match=f"^{family} generator needs n >= 1$"):
                 generate(family, n, 0.5, 1)
+
+
+# The samplers' streams as the all-pairs comprehensions drew them, kept
+# verbatim: a rewrite must make the same draws in the same order.
+def _reference_bipartite(n, density, seed):
+    rng = random.Random(seed)
+    side = [rng.random() < 0.5 for _ in range(n)]
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if side[u] != side[v] and rng.random() < density]
+    return Graph(n, edges)
+
+
+def _reference_random_graph(n, density, seed):
+    rng = random.Random(seed)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if rng.random() < density]
+    return Graph(n, edges)
+
+
+def _reference_filtered_random(n, density, seed):
+    rng = random.Random(seed)
+    while True:
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < density]
+        g = Graph(n, edges)
+        ok, _ = is_artemis(g)
+        if ok:
+            return g
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 11, 64, 600])
+@pytest.mark.parametrize("density", [0, 0.01, 0.3, 1])
+def test_samplers_keep_their_streams(n, density):
+    for seed in range(3):
+        assert bipartite(n, density, seed) == _reference_bipartite(n, density, seed)
+        assert random_graph(n, density, seed) == _reference_random_graph(n, density, seed)
+
+
+def test_bipartite_stream_with_one_side_empty():
+    # seeds 4 and 5 at n = 5 put every vertex on one side, each a different
+    # one: no cross pair, so no draw after the sides
+    for seed in (4, 5):
+        rng = random.Random(seed)
+        assert len({rng.random() < 0.5 for _ in range(5)}) == 1
+        for density in (0.3, 1):
+            assert bipartite(5, density, seed) == Graph(5, [])
+            assert _reference_bipartite(5, density, seed) == Graph(5, [])
+
+
+def test_filtered_random_keeps_its_stream():
+    # a rejected sample's draws fix where the next one starts
+    for n, density in ((6, 0.5), (9, 0.35), (12, 0.5)):
+        for seed in range(3):
+            assert filtered_random(n, density, seed) == _reference_filtered_random(n, density, seed)
